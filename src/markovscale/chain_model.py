@@ -65,11 +65,15 @@ class RowExit:
     attaining: frozenset[str]
 
 
-def _row_exp0_mass(row: dict[str, Monomial]) -> float:
+def _row_exp0_mass(row: dict) -> float:
     return sum(m.coeff for m in row.values() if m.exp == 0)
 
 
-def _is_exactly_leaving(row: dict[str, Monomial]) -> bool:
+def is_exactly_leaving(row: dict) -> bool:
+    """The surviving-diagonal rule: a row of off-diagonal monomials leaves
+    exactly (its implied diagonal vanishes in the limit) when its exponent-0
+    coefficients sum to 1 within EXACT_LEAVING_TOL.  This is the one float
+    tolerance that any structural decision of the package depends on."""
     return abs(_row_exp0_mass(row) - 1.0) <= EXACT_LEAVING_TOL
 
 
@@ -78,7 +82,7 @@ def _row_lambda_max(state: str, row: dict[str, Monomial]) -> float:
     if not row:
         return 1.0
     positive = [m for m in row.values() if m.exp > 0]
-    if _is_exactly_leaving(row):
+    if is_exactly_leaving(row):
         if positive:
             raise ChainFormatError(
                 f"row {state!r}: exponent-0 coefficients already sum to 1, "
@@ -252,7 +256,7 @@ def sub_unit_skeleton(chain: PerturbedChain) -> dict[str, set[str]]:
     for s in chain.states:
         row = chain.row(s)
         succ = {d for d, m in row.items() if m.exp < 1}
-        if not _is_exactly_leaving(row):
+        if not is_exactly_leaving(row):
             succ.add(s)
         adj[s] = succ
     return adj

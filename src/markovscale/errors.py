@@ -19,4 +19,4 @@ class InternalError(RuntimeError):
 
 
 class ResourceError(RuntimeError):
-    """A resource cap was exceeded (class size, power horizon, iteration guard)."""
+    """A resource cap was exceeded (the oracle's matrix-power horizon)."""

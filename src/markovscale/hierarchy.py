@@ -34,15 +34,9 @@ from .asymptotics import (
     mono_limit,
     mono_mul,
 )
-from .chain_model import EXACT_LEAVING_TOL, PerturbedChain, averaging_period, exponent_set
+from .chain_model import PerturbedChain, averaging_period, exponent_set, is_exactly_leaving
 from .errors import InputError, InternalError
-from .structure import (
-    CLASS_SIZE_CAP,
-    ClassDecomposition,
-    classify,
-    entrance_law,
-    invariant_measure,
-)
+from .structure import ClassDecomposition, classify, entrance_law, invariant_measure
 
 #: aggregated nodes are tuples of original states, ordered by state index
 Node = tuple
@@ -54,8 +48,8 @@ ONE_EXP = Fraction(1)
 class HierarchyLevel:
     """One rung of the aggregation ladder.
 
-    `nodes` live on this level; `restricted`, the class decomposition and the
-    class measures are expressed over the previous level's nodes.  The base
+    `nodes` live on this level; the class decomposition and the class
+    measures are expressed over the previous level's nodes.  The base
     level (index 0) has no threshold and no decomposition.
     """
 
@@ -68,7 +62,6 @@ class HierarchyLevel:
     measures: dict[Node, dict[Node, Monomial]]
     aggregated: dict[Node, dict[Node, Monomial]]
     parent: dict[Node, Node]
-    restricted: dict[Node, dict[Node, Monomial]] | None = None
 
 
 @dataclass
@@ -88,12 +81,6 @@ class LimitModel:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    def class_of(self, state: str) -> int | None:
-        for i, cls in enumerate(self.classes):
-            if state in cls:
-                return i
-        return None
 
 
 def _base_level(chain: PerturbedChain) -> HierarchyLevel:
@@ -134,11 +121,7 @@ def _level_support(aggregated: dict, nodes: list[Node], alpha: Exponent) -> dict
         emin = min((m.exp for m in row.values()), default=INF)
         if emin <= alpha:
             succ = {v for v, m in row.items() if m.exp == emin}
-            if emin == 0:
-                mass0 = sum(m.coeff for v, m in row.items() if m.exp == 0)
-                if abs(mass0 - 1.0) > EXACT_LEAVING_TOL:
-                    succ.add(u)
-            else:
+            if not is_exactly_leaving(row):
                 succ.add(u)
         else:
             succ = {u}
@@ -153,8 +136,7 @@ def _merge_nodes(members, state_order: dict) -> Node:
     return tuple(sorted(merged, key=state_order.__getitem__))
 
 
-def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain,
-                cap: int = CLASS_SIZE_CAP) -> HierarchyLevel:
+def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain) -> HierarchyLevel:
     """Aggregate the previous level at threshold alpha."""
     Q = previous.aggregated
     prev_nodes = previous.nodes
@@ -181,7 +163,7 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         new_nodes.append(node)
         recurrent_nodes.append(node)
         period[node] = decomp.period[cls]
-        measures[node] = invariant_measure(restricted, cls, cap=cap)
+        measures[node] = invariant_measure(restricted, cls)
     for t in decomp.transient:
         parent[t] = t
         new_nodes.append(t)
@@ -220,11 +202,10 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         measures=measures,
         aggregated=agg,
         parent=parent,
-        restricted=restricted,
     )
 
 
-def analyze(chain: PerturbedChain, cap: int = CLASS_SIZE_CAP) -> LimitModel:
+def analyze(chain: PerturbedChain) -> LimitModel:
     """Run the aggregation ladder to termination and assemble mu, A, M, N."""
     base = _base_level(chain)
     levels = [base]
@@ -243,7 +224,7 @@ def analyze(chain: PerturbedChain, cap: int = CLASS_SIZE_CAP) -> LimitModel:
                 f"({format_exponent(alphas[-1])} then {format_exponent(alpha)})"
             )
         alphas.append(alpha)
-        current = build_level(current, alpha, chain, cap=cap)
+        current = build_level(current, alpha, chain)
         levels.append(current)
     if terminal is None:
         raise InternalError("aggregation did not terminate within the iteration guard")
@@ -258,7 +239,7 @@ def analyze(chain: PerturbedChain, cap: int = CLASS_SIZE_CAP) -> LimitModel:
         transient=list(final.transient_nodes),
         period={},
     )
-    law = entrance_law(final.aggregated, decomp, cap=cap)
+    law = entrance_law(final.aggregated, decomp)
 
     node_of: dict[str, Node] = {}
     for node in final.nodes:

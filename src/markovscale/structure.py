@@ -2,10 +2,12 @@
 
 Operations here work on sparse monomial matrices (dict of rows, off-diagonal
 entries only) over arbitrary hashable nodes.  They provide the class
-decomposition of a support graph, invariant measures of recurrence classes via
-directed spanning trees (subtraction-free), cyclic decompositions of periodic
-classes, normalized jump chains, and entrance laws of transient nodes with
-elimination of leading-order traps.
+decomposition of a support graph, cyclic decompositions of periodic classes,
+and the two leading-order quantities of the aggregation: invariant measures
+of recurrence classes and entrance laws of transient nodes.  Both come from
+one Grassmann-Taksar-Heyman state reduction run in the monomial semiring
+(`_eliminate`); it uses only + x / on nonnegative terms, so its leading terms
+are exact, and its cost is polynomial in the class size.
 """
 
 from __future__ import annotations
@@ -17,12 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import ONE, ZERO, Monomial, mono_add, mono_div, mono_mul, mono_sum, monomial
-from .chain_model import EXACT_LEAVING_TOL
-from .errors import InternalError, ResourceError
-
-#: default cap on exact arborescence enumeration
-CLASS_SIZE_CAP = 12
+from .asymptotics import ONE, ZERO, mono_add, mono_div, mono_limit, mono_mul, mono_sum, monomial
+from .chain_model import is_exactly_leaving
+from .errors import InternalError
 
 
 @dataclass
@@ -142,147 +141,72 @@ def support_graph(matrix: dict, nodes=None) -> dict:
         nodes = list(matrix)
     adj = {}
     for u in nodes:
-        row = matrix.get(u, {})
-        succ = {v for v, m in row.items() if v != u and not m.is_zero()}
-        mass0 = sum(m.coeff for v, m in row.items() if v != u and m.exp == 0)
-        if abs(mass0 - 1.0) > EXACT_LEAVING_TOL:
+        row = {v: m for v, m in matrix.get(u, {}).items() if v != u and not m.is_zero()}
+        succ = set(row)
+        if not is_exactly_leaving(row):
             succ.add(u)
         adj[u] = succ
     return adj
 
 
-def _within(matrix: dict, members) -> dict:
-    mset = set(members)
-    return {
-        u: {
-            v: m
-            for v, m in matrix.get(u, {}).items()
-            if v in mset and v != u and not m.is_zero()
-        }
-        for u in members
-    }
+def _eliminate(rows: dict, order) -> list[tuple]:
+    """Grassmann-Taksar-Heyman state reduction in the monomial semiring.
+
+    Takes the nodes in `order` out of the graph `rows` one at a time; removing
+    k turns every path i -> k -> j into an arc i -> j of weight
+    w_ik * w_kj / s_k, with s_k the total exit of k at that moment, and drops
+    self-arcs.  Returns one (k, out-arcs, in-arcs, s_k) record per removal,
+    taken just before k leaves the graph; arcs to nodes without a row are
+    kept and never removed.
+    """
+    out = {u: {v: m for v, m in row.items() if v != u and not m.is_zero()}
+           for u, row in rows.items()}
+    inn: dict = {}
+    for u, row in out.items():
+        for v, m in row.items():
+            inn.setdefault(v, {})[u] = m
+    steps = []
+    for k in order:
+        succ = out.pop(k)
+        pred = inn.pop(k, {})
+        s_k = mono_sum(succ.values())
+        if s_k.is_zero():
+            raise InternalError(f"node {k!r} has no exit left when it is eliminated")
+        for j in succ:
+            del inn[j][k]
+        for i, w_ik in pred.items():
+            row = out[i]
+            del row[k]
+            for j, w_kj in succ.items():
+                if j != i:
+                    w = mono_add(row.get(j, ZERO), mono_div(mono_mul(w_ik, w_kj), s_k))
+                    row[j] = inn[j][i] = w
+        steps.append((k, succ, pred, s_k))
+    return steps
 
 
-def _arborescence_sum(members, adj, root) -> Monomial:
-    """mono_add over spanning arborescences directed toward `root` of the
-    mono_mul of their edge monomials."""
-    others = [u for u in members if u != root]
-    choice: dict = {}
-    total = ZERO
-
-    def creates_cycle(u, v):
-        w = v
-        while w in choice:
-            w = choice[w]
-            if w == u:
-                return True
-        return False
-
-    def rec(i, acc):
-        nonlocal total
-        if i == len(others):
-            total = mono_add(total, acc)
-            return
-        u = others[i]
-        for v, m in adj[u]:
-            if creates_cycle(u, v):
-                continue
-            choice[u] = v
-            rec(i + 1, mono_mul(acc, m))
-            del choice[u]
-
-    rec(0, ONE)
-    return total
-
-
-def invariant_measure(matrix: dict, cls, cap: int = CLASS_SIZE_CAP) -> dict:
-    """Leading-order invariant measure of a recurrence class, by the directed
-    spanning-tree representation (subtraction-free; exact exponents).
+def invariant_measure(matrix: dict, cls) -> dict:
+    """Leading-order invariant measure of a recurrence class, by eliminating
+    every member but the first and back-substituting
+    pi_k = sum_i pi_i w_ik / s_k (subtraction-free; exact exponents).
 
     The mono_add-fold of the returned values is (1, 0).
     """
     members = list(cls)
     if not members:
         raise InternalError("empty class")
-    if len(members) == 1:
-        return {members[0]: ONE}
-    if len(members) > cap:
-        raise ResourceError(
-            f"class of size {len(members)} exceeds the exact-enumeration cap {cap}; "
-            "raise the cap explicitly if this is intentional"
-        )
-    sub = _within(matrix, members)
-    adj = {u: list(row.items()) for u, row in sub.items()}
-    values = {u: _arborescence_sum(members, adj, u) for u in members}
-    total = mono_sum(values.values())
-    if total.is_zero() or any(v.is_zero() for v in values.values()):
+    mset = set(members)
+    rows = {u: {v: m for v, m in matrix.get(u, {}).items() if v in mset} for u in members}
+    pi = {members[0]: ONE}
+    for k, _, pred, s_k in reversed(_eliminate(rows, members[1:])):
+        pi[k] = mono_div(mono_sum(mono_mul(pi[i], w) for i, w in pred.items()), s_k)
+    if any(v.is_zero() for v in pi.values()):
         raise InternalError(
             "class is not strongly connected in the matrix support; "
             "no invariant measure exists"
         )
-    return {u: mono_div(values[u], total) for u in members}
-
-
-def jump_chain(matrix: dict) -> dict:
-    """Hat chain: each row's off-diagonal entries divided by its total exit
-    monomial.  Zero-exit rows keep a (1, 0) self-loop; all other rows have
-    hat-diagonal zero (no self entry)."""
-    hat = {}
-    for u, row in matrix.items():
-        entries = {v: m for v, m in row.items() if v != u and not m.is_zero()}
-        total = mono_sum(entries.values())
-        if total.is_zero():
-            hat[u] = {u: ONE}
-        else:
-            hat[u] = {v: mono_div(m, total) for v, m in entries.items()}
-    return hat
-
-
-def _stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary row vector of an irreducible stochastic matrix (dense solve)."""
-    n = P.shape[0]
-    A = P.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise InternalError(f"stationary solve failed: {exc}") from None
-
-
-def invariant_measure_via_jump(matrix: dict, cls) -> dict:
-    """Independent cross-check route for invariant measures: stationary vector
-    of the limit jump chain divided by exit monomials, then normalized.
-
-    Only valid when the limit jump chain (exponent-0 part of the hat chain) is
-    irreducible over the class — e.g. simple cycles, or classes whose arcs all
-    attain their row minimum.  Raises InternalError otherwise.
-    """
-    members = list(cls)
-    if len(members) == 1:
-        return {members[0]: ONE}
-    sub = _within(matrix, members)
-    exits = {u: mono_sum(sub[u].values()) for u in members}
-    if any(e.is_zero() for e in exits.values()):
-        raise InternalError("class member with no within-class exit")
-    hat = jump_chain(sub)
-    limit_succ = {u: {v for v, m in hat[u].items() if m.exp == 0} for u in members}
-    decomp = classify(limit_succ)
-    if decomp.transient or len(decomp.recurrent) != 1:
-        raise InternalError("limit jump chain is reducible; use invariant_measure")
-    pos = {u: i for i, u in enumerate(members)}
-    P0 = np.zeros((len(members), len(members)))
-    for u in members:
-        for v, m in hat[u].items():
-            if m.exp == 0:
-                P0[pos[u], pos[v]] = m.coeff
-    pi_hat = _stationary(P0)
-    vals = {
-        u: mono_div(monomial(pi_hat[pos[u]], Fraction(0)), exits[u]) for u in members
-    }
-    total = mono_sum(vals.values())
-    return {u: mono_div(vals[u], total) for u in members}
+    total = mono_sum(pi.values())
+    return {u: mono_div(pi[u], total) for u in members}
 
 
 def periodic_components(matrix: dict, cls, d: int) -> list[dict]:
@@ -320,126 +244,32 @@ def periodic_components(matrix: dict, cls, d: int) -> list[dict]:
     return out
 
 
-@dataclass(frozen=True)
-class _TrapNode:
-    """Synthetic node standing for a contracted leading-order trap."""
-
-    serial: int
-
-    def __repr__(self):
-        return f"<trap{self.serial}>"
-
-
-def _leading_jumps(row: dict) -> dict:
-    """Leading-order jump distribution of a transient row: min-exponent entries
-    with coefficients normalized to probabilities."""
-    best = min(m.exp for m in row.values())
-    att = {v: m.coeff for v, m in row.items() if m.exp == best}
-    tot = sum(att.values())
-    return {v: c / tot for v, c in att.items()}
-
-
-def entrance_law(matrix: dict, decomposition: ClassDecomposition, cap: int = CLASS_SIZE_CAP) -> dict:
+def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
     """Limit absorption probabilities into each recurrence class.
 
     Returns {node: numpy row over classes} for every node of the
-    decomposition; class members get indicator rows.  Leading-order traps
-    (closed jump sub-structures among transient nodes) are eliminated by
-    contracting them to a single node carrying their invariant-measure-weighted
-    aggregated exits, repeating until the jump digraph is trap-free, and the
-    remaining absorption system is solved densely.
+    decomposition; class members get indicator rows.  The transient nodes are
+    eliminated sources first (a feeder DAG then creates no arcs, and a
+    leading-order trap needs no special case), and the removals are worked
+    back with h_k = sum_j lim(w_kj / s_k) h_j.
     """
     classes = decomposition.recurrent
-    nclasses = len(classes)
-    class_idx: dict = {}
-    for i, cls in enumerate(classes):
-        for u in cls:
-            class_idx[u] = i
-
-    work: dict = {}
-    for u in decomposition.transient:
-        work[u] = {
-            v: m for v, m in matrix.get(u, {}).items() if v != u and not m.is_zero()
-        }
-    if work and nclasses == 0:
-        raise InternalError("transient nodes with no recurrence class to absorb into")
-
-    resolve: dict = {}
-    serial = 0
-    while True:
-        jumps = {}
-        for u, row in work.items():
-            if not row:
-                raise InternalError(f"transient node {u!r} has no outgoing entries")
-            jumps[u] = _leading_jumps(row)
-        succ = {u: {v for v in jumps[u] if v in work} for u in work}
-        traps = []
-        for comp in _sccs(list(work), succ):
-            cset = set(comp)
-            if all(v in cset for u in comp for v in jumps[u]):
-                traps.append(comp)
-        if not traps:
-            break
-        for comp in traps:
-            cset = set(comp)
-            pi = invariant_measure(work, comp, cap=cap)
-            exits: dict = {}
-            for z in comp:
-                for v, m in work[z].items():
-                    if v in cset:
-                        continue
-                    exits[v] = mono_add(exits.get(v, ZERO), mono_mul(pi[z], m))
-            if not exits:
-                raise InternalError(
-                    "trap has no exit at any order; the decomposition mislabels it transient"
-                )
-            tnode = _TrapNode(serial)
-            serial += 1
-            for z in comp:
-                del work[z]
-                resolve[z] = tnode
-            for row in work.values():
-                merged = ZERO
-                for z in comp:
-                    if z in row:
-                        merged = mono_add(merged, row.pop(z))
-                if not merged.is_zero():
-                    row[tnode] = mono_add(row.get(tnode, ZERO), merged)
-            work[tnode] = exits
-
-    order = list(work)
-    pos = {u: i for i, u in enumerate(order)}
-    nt = len(order)
-    T = np.zeros((nt, nt))
-    B = np.zeros((nt, nclasses))
-    for u in order:
-        for v, p in _leading_jumps(work[u]).items():
-            if v in pos:
-                T[pos[u], pos[v]] = p
-            elif v in class_idx:
-                B[pos[u], class_idx[v]] += p
-            else:
-                raise InternalError(f"jump target {v!r} is outside the decomposition")
-    if nt:
-        try:
-            X = np.linalg.solve(np.eye(nt) - T, B)
-        except np.linalg.LinAlgError:
-            raise InternalError("absorption system is singular") from None
-        resid = np.abs((np.eye(nt) - T) @ X - B).max()
-        if not np.isfinite(X).all() or resid > 1e-10:
-            raise InternalError(f"absorption solve failed (residual {resid:g})")
-    else:
-        X = np.zeros((0, nclasses))
-
     law: dict = {}
     for i, cls in enumerate(classes):
         for u in cls:
-            row = np.zeros(nclasses)
-            row[i] = 1.0
-            law[u] = row
-    for u in decomposition.transient:
-        w = u
-        while w in resolve:
-            w = resolve[w]
-        law[u] = X[pos[w]].copy()
+            law[u] = np.zeros(len(classes))
+            law[u][i] = 1.0
+
+    transient = decomposition.transient
+    rows = {u: matrix.get(u, {}) for u in transient}
+    tset = set(transient)
+    succ = {u: [v for v in rows[u] if v in tset] for u in transient}
+    order = [u for comp in reversed(_sccs(transient, succ)) for u in comp]
+    for k, out, _, s_k in reversed(_eliminate(rows, order)):
+        h = np.zeros(len(classes))
+        for j, w in out.items():
+            if j not in law:
+                raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
+            h += mono_limit(mono_div(w, s_k)) * law[j]
+        law[k] = h
     return law

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import numpy as np
 
-from markovscale import chain_from_entries, monomial
+from markovscale import ONE, ZERO, chain_from_entries, mono_add, mono_div, mono_mul, monomial
+from markovscale.asymptotics import mono_sum
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -152,6 +153,53 @@ def random_trap_chain(rng: np.random.Generator):
     for s, c in zip(heads, w):
         entries[("entry", s)] = monomial(float(c), Fraction(0))
     return chain_from_entries(states, entries)
+
+
+def arborescence_measure(matrix: dict, cls) -> dict:
+    """Reference invariant measure by the Markov-chain-tree formula: the
+    weight of u is the mono_add over spanning arborescences directed toward u
+    of the mono_mul of their arc monomials.  Exponential in the class size,
+    so it is limited to classes of at most 7 states."""
+    members = list(cls)
+    if len(members) > 7:
+        raise ValueError(f"reference enumeration is limited to 7 states, got {len(members)}")
+    mset = set(members)
+    arcs = {
+        u: [(v, m) for v, m in matrix.get(u, {}).items() if v in mset and v != u and not m.is_zero()]
+        for u in members
+    }
+
+    def tree_sum(root):
+        others = [u for u in members if u != root]
+        choice: dict = {}
+        total = ZERO
+
+        def creates_cycle(u, v):
+            w = v
+            while w in choice:
+                w = choice[w]
+                if w == u:
+                    return True
+            return False
+
+        def rec(i, acc):
+            nonlocal total
+            if i == len(others):
+                total = mono_add(total, acc)
+                return
+            u = others[i]
+            for v, m in arcs[u]:
+                if not creates_cycle(u, v):
+                    choice[u] = v
+                    rec(i + 1, mono_mul(acc, m))
+                    del choice[u]
+
+        rec(0, ONE)
+        return total
+
+    values = {u: tree_sum(u) for u in members}
+    total = mono_sum(values.values())
+    return {u: mono_div(values[u], total) for u in members}
 
 
 def absorbing_states(chain) -> list:

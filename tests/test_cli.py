@@ -49,7 +49,7 @@ def test_missing_chain_file(capsys):
     assert "cannot read" in err
 
 
-def test_internal_limit_exits_two(capsys, tmp_path):
+def _ring13(tmp_path) -> str:
     n = 13
     doc = {
         "states": [f"c{i}" for i in range(n)],
@@ -60,9 +60,22 @@ def test_internal_limit_exits_two(capsys, tmp_path):
     }
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(doc))
-    rc, _, err = run(capsys, "analyze", str(path))
+    return str(path)
+
+
+def test_resource_limit_exits_two(capsys, tmp_path):
+    # t / lambda = 1e19 steps is past the oracle's 2^62 power cap
+    rc, _, err = run(capsys, "verify", _ring13(tmp_path), "--t", "1", "--lambdas", "1e-19")
     assert rc == 2
-    assert "internal error" in err
+    assert "power cap" in err
+
+
+def test_thirteen_state_ring_analyzes(capsys, tmp_path):
+    rc, out, _ = run(capsys, "analyze", _ring13(tmp_path))
+    assert rc == 0
+    assert "thresholds: 0, inf" in out
+    assert "N = 13" in out
+    assert "class 0: " + " ".join(f"c{i}" for i in range(13)) in out
 
 
 # ---------------------------------------------------------------- analyze

@@ -19,7 +19,10 @@ from markovscale import (
     parse_report,
     position,
     report,
+    sub_unit_skeleton,
+    support_graph,
 )
+from markovscale.hierarchy import _level_support
 from markovscale.oracle import instantiate, matrix_power_position
 
 from helpers import fixture
@@ -147,6 +150,28 @@ def test_swap_chain_aggregates_to_one_periodic_class():
     Q = instantiate(chain, 1e-6)
     avg = matrix_power_position(Q, 1.0, 1e-6, 2)
     np.testing.assert_allclose(avg, model.mu @ expm(model.A) @ model.M, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "mass0, leaves",
+    [(1 - 1e-10, True), (1 + 1e-10, True), (1 - 1e-8, False)],
+)
+def test_surviving_diagonal_rule_agrees_across_callers_at_the_tolerance(mass0, leaves):
+    # a <-> b at exponent 0; a's implied diagonal survives unless its mass is
+    # within the exactly-leaving tolerance of 1, and a surviving diagonal
+    # makes the swap class aperiodic
+    chain = chain_from_entries(
+        ["a", "b"], {("a", "b"): monomial(mass0, F(0)), ("b", "a"): monomial(1.0, F(0))}
+    )
+    rows = {s: chain.row(s) for s in chain.states}
+    model = analyze(chain)
+    base = model.levels[0]
+    assert ("a" in sub_unit_skeleton(chain)["a"]) is not leaves
+    assert ("a" in support_graph(rows)["a"]) is not leaves
+    assert (("a",) in _level_support(base.aggregated, base.nodes, F(0))[("a",)]) is not leaves
+    assert model.classes == [("a", "b")]
+    assert model.levels[1].period[("a", "b")] == (2 if leaves else 1)
+    assert model.N == (2 if leaves else 1)
 
 
 # ------------------------------------------------------------- invariants

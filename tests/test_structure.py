@@ -4,16 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markovscale import (
     ClassDecomposition,
     InternalError,
-    ResourceError,
     classify,
     entrance_law,
     invariant_measure,
-    invariant_measure_via_jump,
-    jump_chain,
     load_chain,
     mono_eval,
     monomial,
@@ -23,7 +22,13 @@ from markovscale import (
 from markovscale.asymptotics import mono_close
 from markovscale.oracle import instantiate
 
-from helpers import absorption_probabilities, fixture, stationary_vector
+from helpers import (
+    EXPONENT_POOL,
+    absorption_probabilities,
+    arborescence_measure,
+    fixture,
+    stationary_vector,
+)
 
 
 def F(p, q=1):
@@ -98,36 +103,6 @@ def test_classify_is_idempotent_and_permutation_equivariant():
     assert set(dec1.transient) == set(dec3.transient)
 
 
-# -------------------------------------------------------------- jump chain
-
-
-def test_jump_chain_of_a_monomial_cycle_is_the_deterministic_cycle():
-    mat = {"1": {"2": M(1, 1, 5)}, "2": {"3": M(1, 2, 5)}, "3": {"1": M(1, 3, 5)}}
-    hat = jump_chain(mat)
-    assert hat == {
-        "1": {"2": M(1, 0)},
-        "2": {"3": M(1, 0)},
-        "3": {"1": M(1, 0)},
-    }
-
-
-def test_jump_chain_normalizes_tied_exponents_to_probabilities():
-    hat = jump_chain({"a": {"b": M(2, 1, 2), "c": M(3, 1, 2)}, "b": {}, "c": {}})
-    assert hat["a"]["b"] == monomial(0.4, F(0))
-    assert hat["a"]["c"] == monomial(0.6, F(0))
-
-
-def test_jump_chain_keeps_slower_arcs_at_positive_exponent():
-    hat = jump_chain({"a": {"b": M(1, 1, 5), "c": M(1, 3, 5)}, "b": {}, "c": {}})
-    assert hat["a"]["b"] == M(1, 0)
-    assert hat["a"]["c"] == M(1, 2, 5)
-
-
-def test_jump_chain_gives_frozen_rows_a_unit_self_loop():
-    hat = jump_chain({"a": {}})
-    assert hat["a"] == {"a": M(1, 0)}
-
-
 # -------------------------------------------------------- invariant measure
 
 
@@ -162,12 +137,38 @@ def test_complete_three_state_class_is_uniform():
     np.testing.assert_allclose(stationary_vector(Q), np.full(3, 1 / 3), atol=1e-14)
 
 
-def test_invariant_measure_matches_the_jump_chain_route():
+def test_invariant_measure_matches_the_spanning_tree_reference():
     mat = {"1": {"2": M(2, 1, 5)}, "2": {"3": M(3, 2, 5)}, "3": {"1": M(5, 3, 5)}}
     a = invariant_measure(mat, ("1", "2", "3"))
-    b = invariant_measure_via_jump(mat, ("1", "2", "3"))
+    b = arborescence_measure(mat, ("1", "2", "3"))
     for s in "123":
         assert mono_close(a[s], b[s])
+
+
+@st.composite
+def strongly_connected_classes(draw):
+    """A 2-7 state ring plus random chords, pool exponents, members in random order."""
+    n = draw(st.integers(2, 7))
+    names = [f"m{i}" for i in range(n)]
+    coeff = st.floats(0.1, 1.0)
+    exp = st.sampled_from(EXPONENT_POOL)
+    mat = {u: {names[(i + 1) % n]: monomial(draw(coeff), draw(exp))} for i, u in enumerate(names)}
+    chords = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), coeff, exp)
+    for i, j, c, e in draw(st.lists(chords, max_size=2 * n)):
+        if i != j:
+            mat[names[i]][names[j]] = monomial(c, e)
+    return mat, tuple(draw(st.permutations(names)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strongly_connected_classes())
+def test_invariant_measure_agrees_with_spanning_tree_enumeration(case):
+    mat, cls = case
+    got = invariant_measure(mat, cls)
+    want = arborescence_measure(mat, cls)
+    for u in cls:
+        assert got[u].exp == want[u].exp
+        assert mono_close(got[u], want[u], rtol=1e-9)
 
 
 def test_invariant_measure_tracks_the_numeric_stationary_vector():
@@ -194,25 +195,14 @@ def test_invariant_measure_tracks_the_numeric_stationary_vector():
         assert np.all(ratio >= 1 - band) and np.all(ratio <= 1 + band)
 
 
-def test_reducible_limit_jump_chain_is_reported():
-    mat = {
-        "a": {"b": M(1, 1, 5), "c": M(1, 2, 5)},
-        "b": {"a": M(1, 1, 5)},
-        "c": {"a": M(1, 0)},
-    }
-    with pytest.raises(InternalError, match="reducible"):
-        invariant_measure_via_jump(mat, ("a", "b", "c"))
-
-
-def test_oversized_classes_hit_the_resource_cap():
-    n = 13
-    names = [f"s{i}" for i in range(n)]
-    mat = {names[i]: {names[(i + 1) % n]: M(1, 0)} for i in range(n)}
-    with pytest.raises(ResourceError, match="cap"):
-        invariant_measure(mat, tuple(names))
-    # raising the cap makes the same call legal
-    pi = invariant_measure(mat, tuple(names), cap=16)
-    assert pi[names[0]].coeff == pytest.approx(1 / n, rel=1e-12)
+def test_exponent_zero_rings_of_any_size_are_uniform():
+    for n in (13, 50, 200):
+        names = [f"s{i}" for i in range(n)]
+        mat = {names[i]: {names[(i + 1) % n]: M(1, 0)} for i in range(n)}
+        pi = invariant_measure(mat, tuple(names))
+        for s in names:
+            assert pi[s].exp == F(0)
+            assert pi[s].coeff == pytest.approx(1 / n, rel=1e-12)
 
 
 def test_disconnected_class_violates_the_contract():
@@ -340,6 +330,44 @@ def test_leading_order_trap_exits_by_its_stationary_weighted_arcs():
     Q = instantiate(chain, 1e-8)
     num = absorption_probabilities(Q, [0, 1], [2, 3])
     np.testing.assert_allclose(num[0], [3 / 7, 4 / 7], atol=1e-3)
+
+
+def test_trap_nested_in_a_larger_trap_exits_by_the_combined_weights():
+    # {t1, t2} holds at exponent 0 and leaks mostly to t3 (order lam^(1/2)),
+    # which returns to t1 at exponent 0: contracted, {t1, t2} and t3 form a
+    # second trap that leaks to r1 through t1 (order lam) and to r2 through
+    # t3 (order lam^(1/2) * lam^(1/2)), so both exits compete at order lam
+    states = ["t1", "t2", "t3", "r1", "r2"]
+    arcs = [
+        ("t1", "t2", 0.5, "0"),
+        ("t1", "r1", 0.3, "1"),
+        ("t2", "t1", 0.5, "0"),
+        ("t2", "t3", 0.4, "1/2"),
+        ("t3", "t1", 0.6, "0"),
+        ("t3", "r2", 0.3, "1/2"),
+    ]
+    chain = load_chain(
+        {
+            "states": states,
+            "transitions": [
+                {"from": a, "to": b, "coeff": c, "exp": e} for a, b, c, e in arcs
+            ],
+        }
+    )
+    mat = {s: chain.row(s) for s in states}
+    dec = classify(support_graph(mat))
+    assert dec.transient == ["t1", "t2", "t3"]
+    law = entrance_law(mat, dec)
+    idx = {c: i for i, c in enumerate(dec.recurrent)}
+    # pi(t1) = pi(t2) = 1/2 inside the inner trap; the outer trap weighs
+    # {t1, t2} by 1 and t3 by (1/3) lam^(1/2), so the exits are
+    # 0.15 lam to r1 and 0.1 lam to r2
+    for t in ("t1", "t2", "t3"):
+        assert law[t][idx[("r1",)]] == pytest.approx(0.6, abs=1e-12)
+        assert law[t][idx[("r2",)]] == pytest.approx(0.4, abs=1e-12)
+    Q = instantiate(chain, 1e-8)
+    num = absorption_probabilities(Q, [0, 1, 2], [3, 4])
+    np.testing.assert_allclose(num, [[0.6, 0.4]] * 3, atol=1e-3)
 
 
 def test_trap_without_any_exit_is_a_contract_violation():
