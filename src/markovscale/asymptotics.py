@@ -7,9 +7,12 @@ coefficients on ties), multiplication multiplies coefficients and adds
 exponents.  The zero element is represented with an infinite exponent so that
 it is absorbing for addition and annihilating for multiplication.
 
-Exponents are exact `fractions.Fraction` values; `math.inf` is the reserved
-sentinel for the exponent of zero.  Exponent comparisons are exact; coefficient
-comparisons elsewhere in the package use a relative tolerance of 1e-9.
+Exponents are exact rationals; `math.inf` is the reserved sentinel for the
+exponent of zero.  Public objects carry `fractions.Fraction` exponents; the
+aggregation ladder runs the same operations on ints counting units of the
+chain's common denominator (everything here is generic over both).  Exponent
+comparisons are exact; coefficient comparisons elsewhere in the package use a
+relative tolerance of 1e-9.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Exponent = Union[Fraction, float]  # Fraction, or math.inf for the zero monomial
+Exponent = Union[Fraction, int, float]  # Fraction (int inside the ladder), or math.inf for zero
 
 INF = math.inf
 
@@ -66,7 +69,8 @@ class Monomial:
 
 
 ZERO = Monomial(0.0, INF)
-ONE = Monomial(1.0, Fraction(0))
+#: the int exponent keeps int arithmetic int; it equals and hashes like Fraction(0)
+ONE = Monomial(1.0, 0)
 
 
 def monomial(coeff: float, exp: Exponent) -> Monomial:

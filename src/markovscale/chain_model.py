@@ -15,15 +15,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .asymptotics import (
-    INF,
     Monomial,
     format_exponent,
-    mono_eval,
     mono_sum,
     monomial,
     parse_exponent,
 )
-from .errors import ChainFormatError
+from .errors import ChainFormatError, InputError
 
 #: rows whose exponent-0 coefficients sum to within this of 1 are treated as
 #: exactly leaving (the implied diagonal vanishes identically)
@@ -77,24 +75,28 @@ def is_exactly_leaving(row: dict) -> bool:
     return abs(_row_exp0_mass(row) - 1.0) <= EXACT_LEAVING_TOL
 
 
-def _row_lambda_max(state: str, row: dict[str, Monomial]) -> float:
-    """Largest lam in (0, 1] keeping this row's implied diagonal nonnegative."""
+def _row_lambda_max(state: str, row: dict[str, Monomial], cap: float) -> float:
+    """Largest lam in (0, 1] keeping this row's implied diagonal nonnegative,
+    or `cap` if the diagonal is still nonnegative there.  The diagonal does
+    not increase with lam, so such a row cannot bring a running minimum below
+    `cap`; rows that can are bisected on all of (0, 1]."""
     if not row:
         return 1.0
-    positive = [m for m in row.values() if m.exp > 0]
     if is_exactly_leaving(row):
-        if positive:
+        if any(m.exp > 0 for m in row.values()):
             raise ChainFormatError(
                 f"row {state!r}: exponent-0 coefficients already sum to 1, "
                 "so the extra positive-exponent entries leave no feasible lambda"
             )
         return 1.0
+    # c * lam**0.0 == c, so this matches mono_eval term by term
+    terms = [(m.coeff, float(m.exp)) for m in row.values()]
 
     def diag(lam: float) -> float:
-        return 1.0 - sum(mono_eval(m, lam) for m in row.values())
+        return 1.0 - sum(c * lam**e for c, e in terms)
 
-    if diag(1.0) >= 0.0:
-        return 1.0
+    if diag(cap) >= 0.0:
+        return cap
     lo, hi = 0.0, 1.0  # diag(0+) > 0 since exp-0 mass < 1 here
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -140,9 +142,9 @@ def chain_from_entries(
             raise ChainFormatError(
                 f"transition {src!r} -> {dst!r}: coefficient must be > 0, got {m.coeff!r}"
             )
-        if m.exp == INF or m.exp < 0:
+        if not isinstance(m.exp, (int, Fraction)) or m.exp < 0:
             raise ChainFormatError(
-                f"transition {src!r} -> {dst!r}: exponent must be finite and >= 0, "
+                f"transition {src!r} -> {dst!r}: exponent must be a finite rational >= 0, "
                 f"got {format_exponent(m.exp)}"
             )
         rows[src][dst] = m
@@ -154,10 +156,22 @@ def chain_from_entries(
             raise ChainFormatError(
                 f"row {s!r}: exponent-0 coefficients sum to {mass0!r} > 1"
             )
-        lambda_max = min(lambda_max, _row_lambda_max(s, rows[s]))
+        lambda_max = min(lambda_max, _row_lambda_max(s, rows[s], lambda_max))
 
     flat = {(s, d): m for s in states for d, m in rows[s].items()}
     return PerturbedChain(states=states, entries=flat, lambda_max=lambda_max)
+
+
+def read_json_file(path, what: str, error: type[InputError] = ChainFormatError):
+    """Parse the JSON document in the file `path`.  A file that cannot be
+    read or is not valid JSON raises `error`, naming the `what` file."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} file is not valid JSON: {exc}") from None
 
 
 def load_chain(source) -> PerturbedChain:
@@ -171,16 +185,7 @@ def load_chain(source) -> PerturbedChain:
 
     Unknown keys anywhere are rejected, as are duplicate transitions.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ChainFormatError(f"cannot read chain file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ChainFormatError(f"chain file is not valid JSON: {exc}") from None
-    else:
-        doc = source
+    doc = read_json_file(source, "chain") if isinstance(source, (str, Path)) else source
 
     if not isinstance(doc, dict):
         raise ChainFormatError("chain document must be a JSON object")

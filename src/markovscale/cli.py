@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .chain_model import dump_chain, load_chain
+from .chain_model import dump_chain, load_chain, read_json_file
 from .errors import InputError, InternalError, ResourceError
 from .evaluator import limit_payoff, occupation, position
 from .games import compile_game, load_game
@@ -136,13 +136,7 @@ def _cmd_occupation(args) -> int:
 
 def _cmd_payoff(args) -> int:
     chain = load_chain(args.chain)
-    try:
-        with open(args.g) as fh:
-            gdoc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read payoff file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"payoff file is not valid JSON: {exc}") from None
+    gdoc = read_json_file(args.g, "payoff", InputError)
     if not isinstance(gdoc, dict):
         raise InputError("payoff file must be a JSON object state -> number")
     model = analyze(chain)

@@ -10,14 +10,13 @@ vector, which the aggregation machinery then evaluates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .asymptotics import ZERO, Monomial, mono_add, mono_limit, mono_mul, monomial, parse_exponent
-from .chain_model import PerturbedChain, chain_from_entries
+from .chain_model import PerturbedChain, chain_from_entries, read_json_file
 from .errors import ChainFormatError
 from .evaluator import limit_payoff
 from .hierarchy import analyze
@@ -64,16 +63,7 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
          "strategy1": {state: {action: {"coeff": c, "exp": "e"}}},
          "strategy2": {...}}
     """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ChainFormatError(f"cannot read game file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ChainFormatError(f"game file is not valid JSON: {exc}") from None
-    else:
-        doc = source
+    doc = read_json_file(source, "game") if isinstance(source, (str, Path)) else source
     if not isinstance(doc, dict):
         raise ChainFormatError("game document must be a JSON object")
     extra = set(doc) - _GAME_KEYS
@@ -227,12 +217,13 @@ def compile_game(game: StochasticGame, x: Strategy, y: Strategy) -> tuple[Pertur
         for a1, xm in x[s].items():
             for a2, ym in y[s].items():
                 w = mono_mul(xm, ym)
-                gval = game.payoff[s][i1[s][a1], i2[s][a2]]
-                gacc = mono_add(gacc, mono_mul(w, monomial(gval, 0)))
+                gval = float(game.payoff[s][i1[s][a1], i2[s][a2]])
+                if gval != 0.0:
+                    gacc = mono_add(gacc, Monomial(w.coeff * gval, w.exp))
                 for dest, p in game.transition[s][a1][a2].items():
                     if dest == s or p == 0.0:
                         continue
-                    acc[dest] = mono_add(acc.get(dest, ZERO), mono_mul(w, monomial(p, 0)))
+                    acc[dest] = mono_add(acc.get(dest, ZERO), Monomial(w.coeff * p, w.exp))
         for dest, m in acc.items():
             if not m.is_zero():
                 entries[(s, dest)] = m

@@ -14,10 +14,16 @@ structure is
 with mu the entrance law into the final classes, A the aggregated unit-scale
 generator, and M the within-class limit measures, plus the skeleton averaging
 period N for the extended (stepwise) position.
+
+Every exponent the ladder produces is a Z-combination of the chain's entry
+exponents, so `analyze` runs it on ints counting units of 1/D, with D the
+common denominator of those exponents, and hands back `Fraction`s.
+`next_threshold` and `build_level` are generic over the two representations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,8 +46,6 @@ from .structure import ClassDecomposition, classify, entrance_law, invariant_mea
 
 #: aggregated nodes are tuples of original states, ordered by state index
 Node = tuple
-
-ONE_EXP = Fraction(1)
 
 
 @dataclass
@@ -83,11 +87,13 @@ class LimitModel:
         return len(self.classes)
 
 
-def _base_level(chain: PerturbedChain) -> HierarchyLevel:
+def _base_level(chain: PerturbedChain, ticks: dict) -> HierarchyLevel:
+    """Level 0, every state a node, each entry exponent replaced by its int
+    image under `ticks`."""
     nodes = [(s,) for s in chain.states]
     agg: dict[Node, dict[Node, Monomial]] = {n: {} for n in nodes}
     for (src, dst), m in chain.entries.items():
-        agg[(src,)][(dst,)] = m
+        agg[(src,)][(dst,)] = Monomial(m.coeff, ticks[m.exp])
     return HierarchyLevel(
         index=0,
         alpha=None,
@@ -163,7 +169,12 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         new_nodes.append(node)
         recurrent_nodes.append(node)
         period[node] = decomp.period[cls]
-        measures[node] = invariant_measure(restricted, cls)
+        try:
+            measures[node] = invariant_measure(restricted, cls)
+        except InternalError as exc:
+            raise InternalError(
+                f"level {previous.index + 1}, class {_node_name(node)}: {exc}"
+            ) from exc
     for t in decomp.transient:
         parent[t] = t
         new_nodes.append(t)
@@ -207,27 +218,47 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
 
 def analyze(chain: PerturbedChain) -> LimitModel:
     """Run the aggregation ladder to termination and assemble mu, A, M, N."""
-    base = _base_level(chain)
+    exps = exponent_set(chain)
+    # every exponent e becomes the int e * D, exact since D is a multiple of
+    # every denominator
+    D = math.lcm(*(e.denominator for e in exps))
+    ticks = {e: e.numerator * (D // e.denominator) for e in exps}
+    as_fraction = {INF: INF}
+
+    def frac(t):
+        """The Fraction t/D, memoized over the few distinct exponents."""
+        f = as_fraction.get(t)
+        if f is None:
+            f = as_fraction[t] = Fraction(t, D)
+        return f
+
+    def fmt(t) -> str:
+        return format_exponent(frac(t))
+
+    base = _base_level(chain, ticks)
     levels = [base]
     current = base
-    alphas: list[Exponent] = []
-    guard = chain.n_states * max(1, len(exponent_set(chain))) + 1
-    terminal: Exponent | None = None
+    alphas: list[int] = []
+    guard = chain.n_states * max(1, len(exps)) + 1
+    terminal = None
     for _ in range(guard):
         alpha = next_threshold(current)
-        if alpha >= 1:
+        if alpha >= D:
             terminal = alpha
             break
         if alphas and not alpha > alphas[-1]:
             raise InternalError(
-                f"thresholds failed to increase strictly "
-                f"({format_exponent(alphas[-1])} then {format_exponent(alpha)})"
+                f"level {current.index + 1}: thresholds failed to increase strictly "
+                f"({fmt(alphas[-1])} then {fmt(alpha)})"
             )
         alphas.append(alpha)
         current = build_level(current, alpha, chain)
         levels.append(current)
     if terminal is None:
-        raise InternalError("aggregation did not terminate within the iteration guard")
+        raise InternalError(
+            f"aggregation did not terminate within the iteration guard of {guard} levels "
+            f"(level {current.index}, threshold {fmt(alphas[-1])})"
+        )
 
     final = current
     classes = list(final.recurrent_nodes)
@@ -239,7 +270,10 @@ def analyze(chain: PerturbedChain) -> LimitModel:
         transient=list(final.transient_nodes),
         period={},
     )
-    law = entrance_law(final.aggregated, decomp)
+    try:
+        law = entrance_law(final.aggregated, decomp)
+    except InternalError as exc:
+        raise InternalError(f"level {final.index}, entrance law: {exc}") from exc
 
     node_of: dict[str, Node] = {}
     for node in final.nodes:
@@ -253,11 +287,12 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     A = np.zeros((nclasses, nclasses))
     for i, node in enumerate(classes):
         for v, m in final.aggregated[node].items():
-            if m.exp < 1:
+            if m.exp < D:
                 raise InternalError(
-                    "recurrent node keeps a sub-unit exit exponent at termination"
+                    f"level {final.index}: recurrent node {_node_name(node)} keeps the "
+                    f"sub-unit exit exponent {fmt(m.exp)} to {_node_name(v)} at termination"
                 )
-            if m.exp == ONE_EXP:
+            if m.exp == D:
                 row_v = law[v]
                 for j in range(nclasses):
                     if j != i:
@@ -277,17 +312,38 @@ def analyze(chain: PerturbedChain) -> LimitModel:
                 child = up
             M[i, chain.index[s]] = mono_limit(factor)
 
+    _to_fractions(levels, frac)
+
     return LimitModel(
         chain=chain,
         levels=levels,
-        terminal_alpha=terminal,
+        terminal_alpha=frac(terminal),
         classes=classes,
         mu=mu,
         A=A,
         M=M,
         N=averaging_period(chain),
-        alphas=alphas + [terminal],
+        alphas=[frac(a) for a in alphas] + [frac(terminal)],
     )
+
+
+def _to_fractions(levels: list[HierarchyLevel], frac) -> None:
+    """Give levels built on int exponents their public Fraction exponents,
+    making one public monomial per distinct (coeff, exp) value."""
+    public: dict[tuple, Monomial] = {}
+    for level in levels:
+        if level.alpha is not None:
+            level.alpha = frac(level.alpha)
+        for table in (level.measures, level.aggregated):
+            for node, row in table.items():
+                out = {}
+                for v, m in row.items():
+                    key = (m.coeff, m.exp)
+                    p = public.get(key)
+                    if p is None:
+                        p = public[key] = Monomial(m.coeff, frac(m.exp))
+                    out[v] = p
+                table[node] = out
 
 
 def _node_name(node: Node) -> str:

@@ -71,17 +71,19 @@ def matrix_power_position(Q: np.ndarray, t: float, lam: float, n_avg: int) -> np
 
 
 def _geometric_sum(B: np.ndarray, n: int) -> np.ndarray:
-    """sum_{m=0}^{n-1} B^m by divide-and-conquer doubling (O(log^2 n) mults)."""
+    """sum_{m=0}^{n-1} B^m by binary doubling over the bits of n, carrying the
+    pair (S_k, B^k): S_2k = S_k + B^k S_k and S_{k+1} = S_k + B^k, so the cost
+    is O(log n) matrix products."""
     if n == 0:
         return np.zeros_like(B)
-    if n == 1:
-        return np.eye(B.shape[0])
-    half = n // 2
-    G = _geometric_sum(B, half)
-    G = G + np.linalg.matrix_power(B, half) @ G
-    if n % 2:
-        G = G + np.linalg.matrix_power(B, n - 1)
-    return G
+    S, P = np.eye(B.shape[0]), B  # k = 1, the leading bit of n
+    for bit in bin(n)[3:]:
+        S = S + P @ S
+        P = P @ P
+        if bit == "1":
+            S = S + P
+            P = P @ B
+    return S
 
 
 def discounted_sum(Q: np.ndarray, lam: float, t: float | None = None, total: bool = False) -> np.ndarray:

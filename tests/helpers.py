@@ -5,8 +5,21 @@ from pathlib import Path
 
 import numpy as np
 
-from markovscale import ONE, ZERO, chain_from_entries, mono_add, mono_div, mono_mul, monomial
+from markovscale import (
+    ONE,
+    ZERO,
+    HierarchyLevel,
+    build_level,
+    chain_from_entries,
+    mono_add,
+    mono_div,
+    mono_eval,
+    mono_mul,
+    monomial,
+    next_threshold,
+)
 from markovscale.asymptotics import mono_sum
+from markovscale.chain_model import is_exactly_leaving
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -21,13 +34,25 @@ EXPONENT_POOL = (
     Fraction(2),
 )
 
+# exponents with pairwise coprime denominators, so that the common
+# denominator of a chain drawn from them is large (up to 2 * 7 * 11 * 13)
+COPRIME_POOL = (
+    Fraction(0),
+    Fraction(1, 7),
+    Fraction(2, 11),
+    Fraction(3, 13),
+    Fraction(1, 2),
+    Fraction(1),
+    Fraction(3, 2),
+)
+
 
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
 
-def random_chain(rng: np.random.Generator, max_states: int = 6):
-    """A small valid chain with exponents drawn from EXPONENT_POOL.
+def random_chain(rng: np.random.Generator, max_states: int = 6, pool=EXPONENT_POOL):
+    """A small valid chain with exponents drawn from `pool`.
 
     Rows come in three flavours: absorbing, exactly leaving (exponent-0 mass
     summing to one), and leaking rows whose exponent-0 mass is kept <= 0.85 so
@@ -42,7 +67,7 @@ def random_chain(rng: np.random.Generator, max_states: int = 6):
             continue
         k = int(rng.integers(1, min(3, len(others)) + 1))
         targets = [str(t) for t in rng.choice(others, size=k, replace=False)]
-        exps = [EXPONENT_POOL[int(rng.integers(len(EXPONENT_POOL)))] for _ in targets]
+        exps = [pool[int(rng.integers(len(pool)))] for _ in targets]
         coeffs = rng.uniform(0.1, 1.0, size=k)
         zero_idx = [j for j, e in enumerate(exps) if e == 0]
         if zero_idx:
@@ -200,6 +225,51 @@ def arborescence_measure(matrix: dict, cls) -> dict:
     values = {u: tree_sum(u) for u in members}
     total = mono_sum(values.values())
     return {u: mono_div(values[u], total) for u in members}
+
+
+def reference_ladder(chain) -> tuple[list, list]:
+    """The aggregation ladder built step by step from the public
+    next_threshold and build_level on the chain's Fraction exponents.
+    Returns (levels, alphas), alphas ending with the terminal threshold."""
+    nodes = [(s,) for s in chain.states]
+    agg = {n: {} for n in nodes}
+    for (src, dst), m in chain.entries.items():
+        agg[(src,)][(dst,)] = m
+    level = HierarchyLevel(
+        index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes), transient_nodes=[],
+        period={}, measures={}, aggregated=agg, parent={},
+    )
+    levels, alphas = [level], []
+    while True:
+        alpha = next_threshold(level)
+        alphas.append(alpha)
+        if alpha >= 1:
+            return levels, alphas
+        level = build_level(level, alpha, chain)
+        levels.append(level)
+
+
+def unpruned_row_lambda_max(row: dict) -> float:
+    """Largest lam in (0, 1] keeping one row's implied diagonal nonnegative,
+    by a bisection on (0, 1] that every row with a negative diagonal at 1 runs."""
+    if not row or is_exactly_leaving(row):
+        return 1.0
+
+    def diag(lam):
+        return 1.0 - sum(mono_eval(m, lam) for m in row.values())
+
+    if diag(1.0) >= 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if diag(mid) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def absorbing_states(chain) -> list:

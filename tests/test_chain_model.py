@@ -1,6 +1,7 @@
 """Chain loading, validation, implied diagonals, skeleton graph, period N."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from markovscale import (
     ChainFormatError,
+    Monomial,
     averaging_period,
     chain_from_entries,
     dump_chain,
@@ -19,7 +21,13 @@ from markovscale import (
 from markovscale.asymptotics import INF
 from markovscale.oracle import instantiate
 
-from helpers import fixture, random_chain
+from helpers import (
+    COPRIME_POOL,
+    fixture,
+    random_chain,
+    random_trap_chain,
+    unpruned_row_lambda_max,
+)
 
 
 def F(p, q=1):
@@ -58,6 +66,21 @@ def test_lambda_max_solves_the_first_vanishing_diagonal():
     chain = load_chain(fixture("eightstate.json"))
     x = 0.6823278038280193  # real root of x^3 + x = 1
     assert chain.lambda_max == pytest.approx(x**5, rel=1e-9)
+
+
+def test_lambda_max_is_the_minimum_of_the_unpruned_row_bisections():
+    chains = [load_chain(fixture("eightstate.json")), load_chain(fixture("eightstate_primes.json"))]
+    rng = np.random.default_rng(2024)
+    chains += [random_chain(rng, max_states=7) for _ in range(150)]
+    chains += [random_chain(rng, max_states=7, pool=COPRIME_POOL) for _ in range(150)]
+    chains += [random_trap_chain(rng) for _ in range(50)]
+    several_bisected = 0
+    for chain in chains:
+        per_row = [unpruned_row_lambda_max(chain.row(s)) for s in chain.states]
+        assert chain.lambda_max == min(per_row)  # bit for bit
+        several_bisected += sum(v < 1.0 for v in per_row) >= 2
+    # the pruning is exercised: many chains have two or more rows below 1
+    assert several_bisected >= 100
 
 
 def test_load_accepts_dict_and_round_trips_through_dump():
@@ -233,6 +256,13 @@ def test_builder_rejects_exactly_leaving_rows_with_vanishing_arcs():
             ["a", "b", "c"],
             {("a", "b"): monomial(1.0, F(0)), ("a", "c"): monomial(0.5, F(1))},
         )
+
+
+@pytest.mark.parametrize("exp", [0.5, math.inf, F(-1, 3)])
+def test_builder_rejects_exponents_that_are_not_nonnegative_rationals(exp):
+    # the ladder scales exponents by their common denominator
+    with pytest.raises(ChainFormatError, match="finite rational >= 0"):
+        chain_from_entries(["a", "b"], {("a", "b"): Monomial(0.5, exp)})
 
 
 def test_dump_chain_is_deterministic_json():

@@ -9,6 +9,7 @@ import pytest
 
 from markovscale import (
     InputError,
+    InternalError,
     analyze,
     build_level,
     chain_from_entries,
@@ -22,10 +23,11 @@ from markovscale import (
     sub_unit_skeleton,
     support_graph,
 )
+from markovscale import hierarchy
 from markovscale.hierarchy import _level_support
 from markovscale.oracle import instantiate, matrix_power_position
 
-from helpers import fixture
+from helpers import COPRIME_POOL, fixture, random_chain, random_trap_chain, reference_ladder
 
 
 def F(p, q=1):
@@ -174,6 +176,94 @@ def test_surviving_diagonal_rule_agrees_across_callers_at_the_tolerance(mass0, l
     assert model.N == (2 if leaves else 1)
 
 
+def _all_exponents(model):
+    yield from model.alphas
+    for lev in model.levels:
+        if lev.alpha is not None:
+            yield lev.alpha
+        for table in (lev.measures, lev.aggregated):
+            for row in table.values():
+                yield from (m.exp for m in row.values())
+
+
+def _differential_chains():
+    rng = np.random.default_rng(31)
+    chains = [load_chain(fixture(name)) for name in ("eightstate.json", "eightstate_primes.json",
+                                                     "funnel_delayed.json", "funnel_instant.json")]
+    chains += [random_chain(rng, max_states=7) for _ in range(60)]
+    chains += [random_chain(rng, max_states=7, pool=COPRIME_POOL) for _ in range(60)]
+    chains += [random_trap_chain(rng) for _ in range(20)]
+    return chains
+
+
+def test_analyze_matches_a_ladder_built_on_fraction_exponents():
+    deep_coprime = 0
+    for chain in _differential_chains():
+        model = analyze(chain)
+        levels, alphas = reference_ladder(chain)
+        assert model.alphas == alphas
+        assert len(model.levels) == len(levels)
+        for got, want in zip(model.levels, levels):
+            assert got.alpha == want.alpha
+            assert got.nodes == want.nodes
+            assert got.recurrent_nodes == want.recurrent_nodes
+            assert got.transient_nodes == want.transient_nodes
+            assert got.parent == want.parent
+            assert got.period == want.period
+            assert got.measures == want.measures  # exponents and coefficients exact
+            assert got.aggregated == want.aggregated
+        assert all(isinstance(e, Fraction) or e == math.inf for e in _all_exponents(model))
+        dens = {m.exp.denominator for m in chain.entries.values()}
+        deep_coprime += len(levels) >= 3 and math.lcm(*dens) >= 77
+    # chains with a large common denominator climb several levels
+    assert deep_coprime >= 5
+
+
+def test_the_ladder_runs_on_int_exponents(monkeypatch):
+    # a single Fraction (say an exponent-0 unit) would turn every later
+    # exponent back into a Fraction and the ladder back into slow arithmetic
+    real = hierarchy.build_level
+    seen_types = []
+
+    def spy(previous, alpha, chain):
+        level = real(previous, alpha, chain)
+        exps = [m.exp for table in (level.measures, level.aggregated)
+                for row in table.values() for m in row.values()]
+        seen_types.append({type(e) for e in exps + [alpha]})
+        return level
+
+    monkeypatch.setattr(hierarchy, "build_level", spy)
+    analyze(load_chain(fixture("eightstate_primes.json")))
+    assert len(seen_types) >= 3
+    assert all(types == {int} for types in seen_types)
+
+
+def test_a_non_increasing_threshold_names_its_level_in_fractions(monkeypatch):
+    real = hierarchy.next_threshold
+    seen = []
+
+    def stuck(level):
+        # eightstate climbs 0, 1/5, 2/5, ...: repeat the second threshold
+        alpha = seen[-1] if len(seen) == 2 else real(level)
+        seen.append(alpha)
+        return alpha
+
+    monkeypatch.setattr(hierarchy, "next_threshold", stuck)
+    with pytest.raises(InternalError) as err:
+        analyze(load_chain(fixture("eightstate.json")))
+    assert "level 3" in str(err.value)
+    assert "(1/5 then 1/5)" in str(err.value)
+
+
+def test_a_failing_invariant_measure_names_its_level_and_class(monkeypatch):
+    def broken(matrix, cls):
+        raise InternalError("no invariant measure")
+
+    monkeypatch.setattr(hierarchy, "invariant_measure", broken)
+    with pytest.raises(InternalError, match=r"level 1, class 1: no invariant measure"):
+        analyze(load_chain(fixture("eightstate.json")))
+
+
 # ------------------------------------------------------------- invariants
 
 
@@ -186,20 +276,33 @@ def test_position_stays_row_stochastic_across_times():
 
 
 def test_analysis_is_permutation_equivariant():
-    chain = load_chain(fixture("eightstate.json"))
-    model = analyze(chain)
-    doc = json.load(open(fixture("eightstate.json")))
-    perm = ["5", "3", "8", "1", "7", "2", "6", "4"]
-    doc["states"] = perm
-    shuffled = analyze(load_chain(doc))
-    assert {frozenset(c) for c in shuffled.classes} == {frozenset(c) for c in model.classes}
-    assert shuffled.N == model.N
-    P = position(model, t=1.0)
-    Q = position(shuffled, t=1.0)
-    src = {s: i for i, s in enumerate(chain.states)}
-    for i, a in enumerate(perm):
-        for j, b in enumerate(perm):
-            assert Q[i, j] == pytest.approx(P[src[a], src[b]], abs=1e-12)
+    # relabel and reorder the states: alpha and N stay, mu and M follow the
+    # states, and mu, A and M follow the classes, whose order may change
+    rng = np.random.default_rng(5)
+    eight = load_chain(fixture("eightstate.json"))
+    cases = [(eight, ["5", "3", "8", "1", "7", "2", "6", "4"])]
+    chains = [random_chain(rng, max_states=7) for _ in range(30)]
+    chains += [random_chain(rng, max_states=7, pool=COPRIME_POOL) for _ in range(30)]
+    cases += [(c, [c.states[i] for i in rng.permutation(c.n_states)]) for c in chains]
+    for chain, order in cases:
+        name = {s: f"q{k}" for k, s in enumerate(rng.permutation(chain.states))}
+        moved = chain_from_entries(
+            [name[s] for s in order],
+            {(name[a], name[b]): m for (a, b), m in chain.entries.items()},
+        )
+        model, other = analyze(chain), analyze(moved)
+        assert other.alphas == model.alphas
+        assert other.N == model.N
+        pos = {frozenset(name[s] for s in cls): i for i, cls in enumerate(model.classes)}
+        sigma = [pos[frozenset(cls)] for cls in other.classes]
+        assert sorted(sigma) == list(range(model.n_classes))
+        rows = [chain.index[s] for s in order]
+        tol = dict(rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(other.A, model.A[np.ix_(sigma, sigma)], **tol)
+        np.testing.assert_allclose(other.mu, model.mu[np.ix_(rows, sigma)], **tol)
+        np.testing.assert_allclose(other.M, model.M[np.ix_(sigma, rows)], **tol)
+        P = position(model, t=1.0)
+        np.testing.assert_allclose(position(other, t=1.0), P[np.ix_(rows, rows)], atol=1e-12)
 
 
 def test_analyze_is_deterministic():

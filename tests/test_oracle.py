@@ -9,6 +9,7 @@ import pytest
 from markovscale import InputError, ResourceError, analyze, load_chain
 from markovscale.oracle import (
     MAX_POWER_STEPS,
+    _geometric_sum,
     convergence_sweep,
     discounted_sum,
     instantiate,
@@ -153,6 +154,29 @@ def test_partial_sum_mass_is_exact_in_the_step_count():
     D = discounted_sum(M, lam, t=5.0)
     mass = 1.0 - (1.0 - lam) ** int(5.0 / lam)
     np.testing.assert_allclose(D.sum(axis=1), np.full(3, mass), atol=1e-9)
+
+
+def _substochastic(seed, n=4, lam=1e-3):
+    rng = np.random.default_rng(seed)
+    M = rng.random((n, n))
+    return (1.0 - lam) * M / M.sum(axis=1, keepdims=True)
+
+
+def test_geometric_sum_matches_the_plain_loop_for_every_small_count():
+    B = _substochastic(3, lam=0.05)
+    want = np.zeros_like(B)
+    power = np.eye(4)
+    for n in range(71):
+        np.testing.assert_allclose(_geometric_sum(B, n), want, rtol=1e-10, atol=0)
+        want = want + power
+        power = power @ B
+
+
+def test_geometric_sum_matches_the_closed_form_at_a_long_horizon():
+    B = _substochastic(5)
+    n = 10**4
+    want = (np.eye(4) - np.linalg.matrix_power(B, n)) @ np.linalg.inv(np.eye(4) - B)
+    np.testing.assert_allclose(_geometric_sum(B, n), want, rtol=1e-10)
 
 
 def test_discounted_sum_argument_validation():
