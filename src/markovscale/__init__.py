@@ -1,118 +1,45 @@
 """markovscale: asymptotic occupation structure of singularly perturbed
-Markov chains, with a numeric oracle and a stochastic-game front end."""
+Markov chains, with a numeric oracle and a stochastic-game front end.
 
-from .asymptotics import (
-    Monomial,
-    ONE,
-    ZERO,
-    format_exponent,
-    mono_add,
-    mono_div,
-    mono_eval,
-    mono_limit,
-    mono_mul,
-    monomial,
-    parse_exponent,
-)
-from .chain_model import (
-    PerturbedChain,
-    RowExit,
-    averaging_period,
-    chain_from_entries,
-    dump_chain,
-    load_chain,
-    row_exit,
-    sub_unit_skeleton,
-)
+The package namespace holds the API documented in the README; every other
+name is reached through its module (for example `markovscale.oracle`,
+`markovscale.games`, `markovscale.structure.classify`)."""
+
+from .asymptotics import ONE, ZERO, Monomial, monomial
+from .chain_model import PerturbedChain, chain_from_entries, dump_chain, load_chain
 from .errors import ChainFormatError, InputError, InternalError, ResourceError
 from .evaluator import (
-    OccupationResult,
     absorbing_closed_form,
     critical_closed_form,
-    expm,
     limit_payoff,
     occupation,
     position,
 )
-from .games import StochasticGame, compile_game, limit_game_payoff, load_game
-from .hierarchy import (
-    HierarchyLevel,
-    LimitModel,
-    analyze,
-    build_level,
-    next_threshold,
-    parse_report,
-    report,
-)
-from .oracle import (
-    SweepDiagnostics,
-    convergence_sweep,
-    discounted_sum,
-    instantiate,
-    matrix_power_position,
-)
-from .structure import (
-    ClassDecomposition,
-    classify,
-    entrance_law,
-    invariant_measure,
-    periodic_components,
-    support_graph,
-)
+from .hierarchy import HierarchyLevel, LimitModel, analyze, parse_report, report
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ChainFormatError",
-    "ClassDecomposition",
     "HierarchyLevel",
     "InputError",
     "InternalError",
     "LimitModel",
     "Monomial",
-    "OccupationResult",
     "ONE",
     "PerturbedChain",
     "ResourceError",
-    "RowExit",
-    "StochasticGame",
-    "SweepDiagnostics",
     "ZERO",
     "absorbing_closed_form",
     "analyze",
-    "averaging_period",
-    "build_level",
     "chain_from_entries",
-    "classify",
-    "compile_game",
-    "convergence_sweep",
     "critical_closed_form",
-    "discounted_sum",
     "dump_chain",
-    "entrance_law",
-    "expm",
-    "format_exponent",
-    "instantiate",
-    "invariant_measure",
-    "limit_game_payoff",
     "limit_payoff",
     "load_chain",
-    "load_game",
-    "matrix_power_position",
-    "mono_add",
-    "mono_div",
-    "mono_eval",
-    "mono_limit",
-    "mono_mul",
     "monomial",
-    "next_threshold",
     "occupation",
-    "parse_exponent",
     "parse_report",
-    "periodic_components",
     "position",
     "report",
-    "row_exit",
-    "sub_unit_skeleton",
-    "support_graph",
 ]

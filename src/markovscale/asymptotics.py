@@ -11,8 +11,7 @@ Exponents are exact rationals; `math.inf` is the reserved sentinel for the
 exponent of zero.  Public objects carry `fractions.Fraction` exponents; the
 aggregation ladder runs the same operations on ints counting units of the
 chain's common denominator (everything here is generic over both).  Exponent
-comparisons are exact; coefficient comparisons elsewhere in the package use a
-relative tolerance of 1e-9.
+comparisons are exact.
 """
 
 from __future__ import annotations
@@ -26,9 +25,6 @@ from typing import Union
 Exponent = Union[Fraction, int, float]  # Fraction (int inside the ladder), or math.inf for zero
 
 INF = math.inf
-
-#: relative tolerance used when comparing monomial coefficients
-COEFF_RTOL = 1e-9
 
 _EXPONENT_RE = re.compile(r"^-?\d+(?:/\d+)?$")
 
@@ -138,16 +134,6 @@ def mono_eval(a: Monomial, lam: float) -> float:
     if a.exp == 0:
         return a.coeff
     return a.coeff * lam ** float(a.exp)
-
-
-def mono_close(a: Monomial, b: Monomial, rtol: float = COEFF_RTOL) -> bool:
-    """Equality up to coefficient noise: exponents exact, coefficients within rtol."""
-    if a.is_zero() and b.is_zero():
-        return True
-    if a.exp != b.exp:
-        return False
-    scale = max(abs(a.coeff), abs(b.coeff))
-    return abs(a.coeff - b.coeff) <= rtol * scale
 
 
 def mono_sum(terms) -> Monomial:

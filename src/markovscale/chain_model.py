@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .asymptotics import (
-    Monomial,
-    format_exponent,
-    mono_sum,
-    monomial,
-    parse_exponent,
-)
+from .asymptotics import Monomial, format_exponent, monomial, parse_exponent
 from .errors import ChainFormatError, InputError
 
 #: rows whose exponent-0 coefficients sum to within this of 1 are treated as
@@ -52,15 +46,6 @@ class PerturbedChain:
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-
-@dataclass(frozen=True)
-class RowExit:
-    """Total exit monomial of a row and the set of targets attaining it."""
-
-    state: str
-    exit: Monomial
-    attaining: frozenset[str]
 
 
 def _row_exp0_mass(row: dict) -> float:
@@ -241,18 +226,6 @@ def dump_chain(chain: PerturbedChain) -> dict:
     return {"states": list(chain.states), "transitions": transitions}
 
 
-def row_exit(chain: PerturbedChain, state: str) -> RowExit:
-    """Total exit monomial of a row and the targets attaining its exponent."""
-    if state not in chain.index:
-        raise ChainFormatError(f"unknown state {state!r}")
-    row = chain.row(state)
-    total = mono_sum(row.values())
-    if total.is_zero():
-        return RowExit(state=state, exit=total, attaining=frozenset())
-    attaining = frozenset(d for d, m in row.items() if m.exp == total.exp)
-    return RowExit(state=state, exit=total, attaining=attaining)
-
-
 def sub_unit_skeleton(chain: PerturbedChain) -> dict[str, set[str]]:
     """Adjacency of the sub-unit skeleton: arcs with exponent < 1, plus a
     self-loop wherever the implied diagonal survives in the limit (exponent-0
@@ -278,7 +251,3 @@ def averaging_period(chain: PerturbedChain) -> int:
         n *= decomp.period[cls]
     return n
 
-
-def exponent_set(chain: PerturbedChain) -> set[Fraction]:
-    """Distinct entry exponents (used for iteration guards)."""
-    return {m.exp for m in chain.entries.values()}

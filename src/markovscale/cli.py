@@ -22,15 +22,11 @@ from .hierarchy import analyze, report
 from .oracle import convergence_sweep
 
 
-class _UsageError(InputError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on bad flags; the contract wants 1."""
 
     def error(self, message):
-        raise _UsageError(f"{message}\n{self.format_usage()}".rstrip())
+        raise InputError(f"{message}\n{self.format_usage()}".rstrip())
 
 
 def _fmt(x: float) -> str:
@@ -247,9 +243,6 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chain_model import PerturbedChain, row_exit
+from .asymptotics import mono_sum
+from .chain_model import PerturbedChain
 from .errors import InputError, InternalError
 from .hierarchy import LimitModel
 
@@ -122,8 +123,8 @@ def absorbing_closed_form(chain: PerturbedChain, t: float) -> np.ndarray:
     if t < 0:
         raise InputError(f"t must be >= 0, got {t!r}")
     src = active[0]
-    re = row_exit(chain, src)
-    c, e = re.exit.coeff, re.exit.exp
+    total = mono_sum(chain.row(src).values())
+    c, e = total.coeff, total.exp
     row = np.zeros(chain.n_states)
     i0 = chain.index[src]
     if t == 0 or e > 1:

@@ -158,21 +158,14 @@ def _load_strategy(spec, actions, who) -> Strategy:
             raise ChainFormatError(f"{who}[{s!r}] must be a nonempty map action -> monomial")
         row = {}
         for a, doc in mix.items():
-            if a not in actions[s]:
-                raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}")
             if not isinstance(doc, dict) or set(doc) != {"coeff", "exp"}:
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must be an object with 'coeff' and 'exp'"
                 )
             try:
-                m = monomial(float(doc["coeff"]), parse_exponent(doc["exp"]))
+                row[a] = monomial(float(doc["coeff"]), parse_exponent(doc["exp"]))
             except (TypeError, ValueError) as exc:
                 raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
-            if m.is_zero():
-                raise ChainFormatError(f"{who}[{s!r}][{a!r}]: weight must be positive")
-            if m.exp < 0:
-                raise ChainFormatError(f"{who}[{s!r}][{a!r}]: exponent must be >= 0")
-            row[a] = m
         out[s] = row
     validate_strategy(out, actions, who)
     return out

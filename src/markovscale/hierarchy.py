@@ -40,7 +40,7 @@ from .asymptotics import (
     mono_limit,
     mono_mul,
 )
-from .chain_model import PerturbedChain, averaging_period, exponent_set, is_exactly_leaving
+from .chain_model import PerturbedChain, averaging_period, is_exactly_leaving
 from .errors import InputError, InternalError
 from .structure import ClassDecomposition, classify, entrance_law, invariant_measure
 
@@ -218,7 +218,7 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
 
 def analyze(chain: PerturbedChain) -> LimitModel:
     """Run the aggregation ladder to termination and assemble mu, A, M, N."""
-    exps = exponent_set(chain)
+    exps = {m.exp for m in chain.entries.values()}
     # every exponent e becomes the int e * D, exact since D is a multiple of
     # every denominator
     D = math.lcm(*(e.denominator for e in exps))
@@ -391,11 +391,12 @@ def report(model: LimitModel) -> dict:
 
 def _level_classes(level: HierarchyLevel, previous: HierarchyLevel) -> list[list[Node]]:
     """Members (previous-level nodes) of each class node, in node order."""
-    out = []
-    for node in level.recurrent_nodes:
-        members = [p for p in previous.nodes if level.parent[p] == node]
-        out.append(members)
-    return out
+    members: dict[Node, list[Node]] = {node: [] for node in level.recurrent_nodes}
+    for p in previous.nodes:
+        group = members.get(level.parent[p])
+        if group is not None:
+            group.append(p)
+    return list(members.values())
 
 
 def parse_report(source) -> dict:

@@ -2,12 +2,12 @@
 
 Operations here work on sparse monomial matrices (dict of rows, off-diagonal
 entries only) over arbitrary hashable nodes.  They provide the class
-decomposition of a support graph, cyclic decompositions of periodic classes,
-and the two leading-order quantities of the aggregation: invariant measures
-of recurrence classes and entrance laws of transient nodes.  Both come from
-one Grassmann-Taksar-Heyman state reduction run in the monomial semiring
-(`_eliminate`); it uses only + x / on nonnegative terms, so its leading terms
-are exact, and its cost is polynomial in the class size.
+decomposition of a support graph and the two leading-order quantities of the
+aggregation: invariant measures of recurrence classes and entrance laws of
+transient nodes.  Both come from one Grassmann-Taksar-Heyman state reduction
+run in the monomial semiring (`_eliminate`); it uses only + x / on
+nonnegative terms, so its leading terms are exact, and its cost is
+polynomial in the class size.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import ONE, ZERO, mono_add, mono_div, mono_limit, mono_mul, mono_sum, monomial
-from .chain_model import is_exactly_leaving
+from .asymptotics import ONE, ZERO, mono_add, mono_div, mono_limit, mono_mul, mono_sum
 from .errors import InternalError
 
 
@@ -35,10 +33,6 @@ class ClassDecomposition:
     recurrent: list[tuple]
     transient: list
     period: dict[tuple, int]
-
-    @property
-    def classes(self) -> list[tuple]:
-        return self.recurrent
 
 
 def _sccs(nodes, succ_map):
@@ -90,7 +84,10 @@ def _sccs(nodes, succ_map):
 
 
 def _class_period(members, succ_map):
-    """gcd of cycle lengths within a strongly connected node set."""
+    """gcd of cycle lengths within a strongly connected node set (1 for a
+    single node, whose only possible cycle is its self-loop)."""
+    if len(members) == 1:
+        return 1
     mset = set(members)
     root = members[0]
     level = {root: 0}
@@ -132,21 +129,6 @@ def classify(support: dict) -> ClassDecomposition:
     recurrent.sort(key=lambda cls: pos[cls[0]])
     transient.sort(key=pos.__getitem__)
     return ClassDecomposition(recurrent=recurrent, transient=transient, period=period)
-
-
-def support_graph(matrix: dict, nodes=None) -> dict:
-    """Full-support adjacency of a monomial matrix, adding a self-loop wherever
-    the implied diagonal survives (exponent-0 off-diagonal mass < 1)."""
-    if nodes is None:
-        nodes = list(matrix)
-    adj = {}
-    for u in nodes:
-        row = {v: m for v, m in matrix.get(u, {}).items() if v != u and not m.is_zero()}
-        succ = set(row)
-        if not is_exactly_leaving(row):
-            succ.add(u)
-        adj[u] = succ
-    return adj
 
 
 def _eliminate(rows: dict, order) -> list[tuple]:
@@ -207,41 +189,6 @@ def invariant_measure(matrix: dict, cls) -> dict:
         )
     total = mono_sum(pi.values())
     return {u: mono_div(pi[u], total) for u in members}
-
-
-def periodic_components(matrix: dict, cls, d: int) -> list[dict]:
-    """Cyclic decomposition of a d-periodic class: the k-th measure is d times
-    the invariant measure restricted to the k-th cyclic set; the first cyclic
-    set contains the first class member."""
-    members = list(cls)
-    pi = invariant_measure(matrix, cls)
-    if d == 1:
-        return [dict(pi)]
-    mset = set(members)
-    succ = {
-        u: [v for v, m in matrix.get(u, {}).items() if v in mset and v != u and not m.is_zero()]
-        for u in members
-    }
-    root = members[0]
-    level = {root: 0}
-    q = deque([root])
-    while q:
-        u = q.popleft()
-        for v in succ[u]:
-            if v not in level:
-                level[v] = (level[u] + 1) % d
-                q.append(v)
-    if set(level) != mset:
-        raise InternalError("class is not strongly connected")
-    for u in members:
-        for v in succ[u]:
-            if (level[u] + 1 - level[v]) % d != 0:
-                raise InternalError(f"period {d} does not divide the class cycle structure")
-    dmono = monomial(float(d), Fraction(0))
-    out = []
-    for k in range(d):
-        out.append({u: mono_mul(dmono, pi[u]) for u in members if level[u] == k})
-    return out
 
 
 def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:

@@ -5,21 +5,10 @@ from pathlib import Path
 
 import numpy as np
 
-from markovscale import (
-    ONE,
-    ZERO,
-    HierarchyLevel,
-    build_level,
-    chain_from_entries,
-    mono_add,
-    mono_div,
-    mono_eval,
-    mono_mul,
-    monomial,
-    next_threshold,
-)
-from markovscale.asymptotics import mono_sum
+from markovscale import ONE, ZERO, HierarchyLevel, chain_from_entries, monomial
+from markovscale.asymptotics import mono_add, mono_div, mono_eval, mono_mul, mono_sum
 from markovscale.chain_model import is_exactly_leaving
+from markovscale.hierarchy import build_level, next_threshold
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -47,8 +36,32 @@ COPRIME_POOL = (
 )
 
 
+#: relative tolerance for comparing monomial coefficients in tests
+COEFF_RTOL = 1e-9
+
+
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def mono_close(a, b, rtol: float = COEFF_RTOL) -> bool:
+    """Equality up to coefficient noise: exponents exact, coefficients within rtol."""
+    if a.is_zero() and b.is_zero():
+        return True
+    if a.exp != b.exp:
+        return False
+    scale = max(abs(a.coeff), abs(b.coeff))
+    return abs(a.coeff - b.coeff) <= rtol * scale
+
+
+def support_graph(matrix: dict) -> dict:
+    """Full-support adjacency of a monomial matrix, adding a self-loop wherever
+    the implied diagonal survives (exponent-0 off-diagonal mass < 1)."""
+    adj = {}
+    for u, row in matrix.items():
+        row = {v: m for v, m in row.items() if v != u and not m.is_zero()}
+        adj[u] = set(row) if is_exactly_leaving(row) else set(row) | {u}
+    return adj
 
 
 def random_chain(rng: np.random.Generator, max_states: int = 6, pool=EXPONENT_POOL):
@@ -228,8 +241,9 @@ def arborescence_measure(matrix: dict, cls) -> dict:
 
 
 def reference_ladder(chain) -> tuple[list, list]:
-    """The aggregation ladder built step by step from the public
-    next_threshold and build_level on the chain's Fraction exponents.
+    """The aggregation ladder built step by step from
+    hierarchy.next_threshold and hierarchy.build_level on the chain's Fraction
+    exponents.
     Returns (levels, alphas), alphas ending with the terminal threshold."""
     nodes = [(s,) for s in chain.states]
     agg = {n: {} for n in nodes}

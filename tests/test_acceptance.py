@@ -14,11 +14,11 @@ from markovscale import (
     absorbing_closed_form,
     analyze,
     load_chain,
-    mono_eval,
     monomial,
     occupation,
     position,
 )
+from markovscale.asymptotics import mono_eval
 from markovscale.games import compile_game, limit_game_payoff, load_game
 from markovscale.oracle import convergence_sweep, instantiate, matrix_power_position
 

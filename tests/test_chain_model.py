@@ -10,15 +10,12 @@ import pytest
 from markovscale import (
     ChainFormatError,
     Monomial,
-    averaging_period,
     chain_from_entries,
     dump_chain,
     load_chain,
     monomial,
-    row_exit,
-    sub_unit_skeleton,
 )
-from markovscale.asymptotics import INF
+from markovscale.chain_model import averaging_period, sub_unit_skeleton
 from markovscale.oracle import instantiate
 
 from helpers import (
@@ -162,33 +159,6 @@ def test_missing_and_unparsable_files_are_reported():
     bad = fixture("..") + "/helpers.py"
     with pytest.raises(ChainFormatError, match="not valid JSON"):
         load_chain(bad)
-
-
-# --------------------------------------------------------------- row exits
-
-
-def test_row_exit_reports_minimum_exponent_and_attaining_set():
-    chain = load_chain(fixture("eightstate.json"))
-    ex = row_exit(chain, "1")
-    assert ex.exit == monomial(1.0, F(1, 5))
-    assert ex.attaining == {"2"}
-
-
-def test_row_exit_of_a_frozen_state_is_the_zero_monomial():
-    chain = load_chain(fixture("funnel_instant.json"))
-    ex = row_exit(chain, "3")
-    assert ex.exit.is_zero and ex.exit.exp == INF
-    assert ex.attaining == set()
-
-
-def test_row_exit_sums_coefficients_on_a_tie():
-    chain = chain_from_entries(
-        ["a", "b", "c"],
-        {("a", "b"): monomial(2.0, F(1, 2)), ("a", "c"): monomial(3.0, F(1, 2))},
-    )
-    ex = row_exit(chain, "a")
-    assert ex.exit == monomial(5.0, F(1, 2))
-    assert ex.attaining == {"b", "c"}
 
 
 # ---------------------------------------------------------------- skeleton

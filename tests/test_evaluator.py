@@ -10,13 +10,12 @@ from markovscale import (
     absorbing_closed_form,
     analyze,
     critical_closed_form,
-    expm,
     limit_payoff,
     load_chain,
     occupation,
     position,
 )
-from markovscale.evaluator import payoff_vector
+from markovscale.evaluator import expm, payoff_vector
 
 from helpers import fixture
 
@@ -211,6 +210,29 @@ def test_absorbing_closed_form_all_three_regimes():
         }
     )
     np.testing.assert_allclose(absorbing_closed_form(slow, 123.0), [1.0, 0.0], atol=0)
+
+
+def test_absorbing_closed_form_splits_a_tie_by_coefficient():
+    # a and b tie at the exit exponent and share the moving mass 2 : 3; the
+    # slower target c gets nothing
+    for e, slower in (("1/3", "1/2"), ("1", "3/2")):
+        chain = absorbing(
+            {
+                "states": ["o", "a", "b", "c"],
+                "transitions": [
+                    {"from": "o", "to": "a", "coeff": 2.0, "exp": e},
+                    {"from": "o", "to": "b", "coeff": 3.0, "exp": e},
+                    {"from": "o", "to": "c", "coeff": 1.0, "exp": slower},
+                ],
+            }
+        )
+        moved = 1.0 if e != "1" else 1.0 - math.exp(-5.0 * 0.7)
+        np.testing.assert_allclose(
+            absorbing_closed_form(chain, 0.7),
+            [1.0 - moved, 0.4 * moved, 0.6 * moved, 0.0],
+            rtol=1e-14,
+            atol=1e-15,
+        )
 
 
 def test_absorbing_closed_form_agrees_with_the_general_pipeline():

@@ -11,23 +11,27 @@ from markovscale import (
     InputError,
     InternalError,
     analyze,
-    build_level,
     chain_from_entries,
-    expm,
     load_chain,
     monomial,
-    next_threshold,
     parse_report,
     position,
     report,
-    sub_unit_skeleton,
-    support_graph,
 )
 from markovscale import hierarchy
-from markovscale.hierarchy import _level_support
+from markovscale.chain_model import sub_unit_skeleton
+from markovscale.evaluator import expm
+from markovscale.hierarchy import _level_support, build_level, next_threshold
 from markovscale.oracle import instantiate, matrix_power_position
 
-from helpers import COPRIME_POOL, fixture, random_chain, random_trap_chain, reference_ladder
+from helpers import (
+    COPRIME_POOL,
+    fixture,
+    random_chain,
+    random_trap_chain,
+    reference_ladder,
+    support_graph,
+)
 
 
 def F(p, q=1):
@@ -331,6 +335,25 @@ def test_report_renders_the_eightstate_analysis():
     assert np.asarray(doc["mu"]).shape == (8, 3)
     assert np.asarray(doc["A"]).shape == (3, 3)
     assert np.asarray(doc["M"]).shape == (3, 8)
+
+
+def test_report_lists_every_member_of_each_level_class_in_node_order():
+    # reference: scan all previous-level nodes for each class node
+    rng = np.random.default_rng(17)
+    chains = [random_chain(rng, max_states=7) for _ in range(80)]
+    chains.append(load_chain(fixture("eightstate.json")))
+    largest = 0
+    for chain in chains:
+        model = analyze(chain)
+        for lev, doc in zip(model.levels[1:], report(model)["levels"]):
+            prev = model.levels[lev.index - 1]
+            want = [
+                [hierarchy._node_name(p) for p in prev.nodes if lev.parent[p] == node]
+                for node in lev.recurrent_nodes
+            ]
+            assert doc["classes"] == want
+            largest = max([largest] + [len(c) for c in want])
+    assert largest >= 3
 
 
 def test_report_of_a_critical_chain_is_depth_one():

@@ -1,4 +1,4 @@
-"""Recurrence classes, invariant measures, periodic splits, entrance laws."""
+"""Recurrence classes, invariant measures, entrance laws."""
 
 from fractions import Fraction
 
@@ -7,27 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from markovscale import (
-    ClassDecomposition,
-    InternalError,
-    classify,
-    entrance_law,
-    invariant_measure,
-    load_chain,
-    mono_eval,
-    monomial,
-    periodic_components,
-    support_graph,
-)
-from markovscale.asymptotics import mono_close
+from markovscale import InternalError, load_chain, monomial
+from markovscale.asymptotics import mono_eval
 from markovscale.oracle import instantiate
+from markovscale.structure import ClassDecomposition, classify, entrance_law, invariant_measure
 
 from helpers import (
     EXPONENT_POOL,
     absorption_probabilities,
     arborescence_measure,
     fixture,
+    mono_close,
     stationary_vector,
+    support_graph,
 )
 
 
@@ -70,9 +62,11 @@ def test_complete_graph_without_self_loops_is_aperiodic():
 
 
 def test_singleton_with_self_loop_is_recurrent_aperiodic():
-    dec = classify({"x": {"x"}})
-    assert dec.recurrent == [("x",)] and dec.transient == []
-    assert dec.period[("x",)] == 1
+    # a closed singleton is aperiodic with or without its self-loop
+    for support in ({"x": {"x"}}, {"x": set()}):
+        dec = classify(support)
+        assert dec.recurrent == [("x",)] and dec.transient == []
+        assert dec.period[("x",)] == 1
 
 
 def test_pure_cycle_has_its_length_as_period():
@@ -209,57 +203,6 @@ def test_disconnected_class_violates_the_contract():
     mat = {"a": {"b": M(1, 0)}, "b": {}}
     with pytest.raises(InternalError):
         invariant_measure(mat, ("a", "b"))
-
-
-# ------------------------------------------------------ periodic components
-
-
-def test_swap_class_splits_into_two_rotating_diracs():
-    mat = {"7": {"8": M(1, 0)}, "8": {"7": M(1, 0)}}
-    parts = periodic_components(mat, ("7", "8"), 2)
-    assert parts[0] == {"7": M(1, 0)}
-    assert parts[1] == {"8": M(1, 0)}
-
-
-def test_period_one_returns_the_invariant_measure_itself():
-    mat = {"a": {"b": M(1, 1, 2)}, "b": {"a": M(1, 1, 2)}}
-    parts = periodic_components(mat, ("a", "b"), 1)
-    assert parts == [invariant_measure(mat, ("a", "b"))]
-
-
-def test_four_cycle_rotates_a_dirac_through_the_cyclic_classes():
-    names = ("a", "b", "c", "d")
-    mat = {names[i]: {names[(i + 1) % 4]: M(1, 0)} for i in range(4)}
-    parts = periodic_components(mat, names, 4)
-    for k, s in enumerate(names):
-        assert parts[k] == {s: M(1, 0)}
-    # numeric cross-check: the 4-step chain fixes each cyclic class pointwise
-    Q = np.roll(np.eye(4), 1, axis=1)
-    np.testing.assert_allclose(np.linalg.matrix_power(Q, 4), np.eye(4), atol=0)
-    np.testing.assert_allclose(stationary_vector(Q), np.full(4, 0.25), atol=1e-14)
-
-
-def test_weighted_bipartite_class_averages_back_to_the_invariant_measure():
-    mat = {
-        "a": {"c": monomial(0.5, F(0)), "d": monomial(0.5, F(0))},
-        "b": {"c": monomial(0.5, F(0)), "d": monomial(0.5, F(0))},
-        "c": {"a": M(1, 0)},
-        "d": {"b": M(1, 0)},
-    }
-    cls = ("a", "b", "c", "d")
-    parts = periodic_components(mat, cls, 2)
-    assert set(parts[0]) == {"a", "b"} and set(parts[1]) == {"c", "d"}
-    pi = invariant_measure(mat, cls)
-    for s in cls:
-        total = sum(p.get(s, monomial(0, F(0))).coeff for p in parts) / 2
-        assert total == pytest.approx(pi[s].coeff, rel=1e-12)
-        assert pi[s].exp == F(0)
-
-
-def test_wrong_period_is_rejected():
-    mat = {"7": {"8": M(1, 0)}, "8": {"7": M(1, 0)}}
-    with pytest.raises(InternalError):
-        periodic_components(mat, ("7", "8"), 3)
 
 
 # -------------------------------------------------------------- entrance law
