@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .asymptotics import Monomial, format_exponent, monomial, parse_exponent
+from .asymptotics import Exponent, Monomial, format_exponent, monomial, parse_exponent
 from .errors import ChainFormatError, InputError
 
 #: rows whose exponent-0 coefficients sum to within this of 1 are treated as
@@ -48,7 +48,8 @@ class PerturbedChain:
         return len(self.states)
 
 
-def _row_exp0_mass(row: dict) -> float:
+def exp0_mass(row: dict) -> float:
+    """Sum of the exponent-0 coefficients of a row of monomials."""
     return sum(m.coeff for m in row.values() if m.exp == 0)
 
 
@@ -57,7 +58,7 @@ def is_exactly_leaving(row: dict) -> bool:
     exactly (its implied diagonal vanishes in the limit) when its exponent-0
     coefficients sum to 1 within EXACT_LEAVING_TOL.  This is the one float
     tolerance that any structural decision of the package depends on."""
-    return abs(_row_exp0_mass(row) - 1.0) <= EXACT_LEAVING_TOL
+    return abs(exp0_mass(row) - 1.0) <= EXACT_LEAVING_TOL
 
 
 def _row_lambda_max(state: str, row: dict[str, Monomial], cap: float) -> float:
@@ -119,8 +120,6 @@ def chain_from_entries(
             raise ChainFormatError(
                 f"diagonal entry {src!r} -> {dst!r} is implied and must not be given"
             )
-        if dst in rows[src]:
-            raise ChainFormatError(f"duplicate transition {src!r} -> {dst!r}")
         if m.is_zero():
             continue  # zero entries are simply absent
         if m.coeff <= 0:
@@ -136,7 +135,7 @@ def chain_from_entries(
 
     lambda_max = 1.0
     for s in states:
-        mass0 = _row_exp0_mass(rows[s])
+        mass0 = exp0_mass(rows[s])
         if mass0 > 1.0 + EXACT_LEAVING_TOL:
             raise ChainFormatError(
                 f"row {s!r}: exponent-0 coefficients sum to {mass0!r} > 1"
@@ -187,6 +186,7 @@ def load_chain(source) -> PerturbedChain:
         raise ChainFormatError("'transitions' must be a list")
 
     entries: dict[tuple[str, str], Monomial] = {}
+    parsed: dict[str, Exponent] = {}  # a chain repeats a few exponent texts
     for i, tr in enumerate(transitions):
         where = f"transitions[{i}]"
         if not isinstance(tr, dict):
@@ -203,8 +203,11 @@ def load_chain(source) -> PerturbedChain:
             raise ChainFormatError(f"{where}: 'coeff' must be a number")
         if coeff <= 0:
             raise ChainFormatError(f"{where}: 'coeff' must be > 0, got {coeff!r}")
+        text = tr["exp"]
         try:
-            exp = parse_exponent(tr["exp"])
+            exp = parsed.get(text) if isinstance(text, str) else None
+            if exp is None:
+                exp = parsed[text] = parse_exponent(text)
             m = monomial(float(coeff), exp)
         except ValueError as exc:
             raise ChainFormatError(f"{where}: {exc}") from None
@@ -224,30 +227,4 @@ def dump_chain(chain: PerturbedChain) -> dict:
         )
     ]
     return {"states": list(chain.states), "transitions": transitions}
-
-
-def sub_unit_skeleton(chain: PerturbedChain) -> dict[str, set[str]]:
-    """Adjacency of the sub-unit skeleton: arcs with exponent < 1, plus a
-    self-loop wherever the implied diagonal survives in the limit (exponent-0
-    off-diagonal mass < 1)."""
-    adj: dict[str, set[str]] = {}
-    for s in chain.states:
-        row = chain.row(s)
-        succ = {d for d, m in row.items() if m.exp < 1}
-        if not is_exactly_leaving(row):
-            succ.add(s)
-        adj[s] = succ
-    return adj
-
-
-def averaging_period(chain: PerturbedChain) -> int:
-    """Product of the periods of the recurrence classes of the sub-unit
-    skeleton (empty product = 1)."""
-    from .structure import classify  # local import to avoid a cycle
-
-    decomp = classify(sub_unit_skeleton(chain))
-    n = 1
-    for cls in decomp.recurrent:
-        n *= decomp.period[cls]
-    return n
 

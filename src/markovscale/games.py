@@ -16,14 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import ZERO, Monomial, mono_add, mono_limit, mono_mul, monomial, parse_exponent
-from .chain_model import PerturbedChain, chain_from_entries, read_json_file
+from .chain_model import PerturbedChain, chain_from_entries, exp0_mass, is_exactly_leaving, read_json_file
 from .errors import ChainFormatError
 from .evaluator import limit_payoff
 from .hierarchy import analyze
 
 _GAME_KEYS = {"states", "actions1", "actions2", "payoff", "transition", "strategy1", "strategy2"}
 _TRANSITION_SUM_TOL = 1e-12
-_STRATEGY_MASS_TOL = 1e-9
 
 #: per-state mixture of actions with monomial weights
 Strategy = dict[str, dict[str, Monomial]]
@@ -77,6 +76,7 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
     if not isinstance(states, list) or not states or len(set(states)) != len(states):
         raise ChainFormatError("'states' must be a nonempty list of distinct names")
     states = tuple(states)
+    known = set(states)
     actions1 = _validate_actions(states, doc["actions1"], "actions1")
     actions2 = _validate_actions(states, doc["actions2"], "actions2")
 
@@ -119,7 +119,7 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
                 total = 0.0
                 clean = {}
                 for dest, p in dist.items():
-                    if dest not in set(states):
+                    if dest not in known:
                         raise ChainFormatError(
                             f"transition[{s!r}][{a1!r}][{a2!r}] targets unknown state {dest!r}"
                         )
@@ -162,9 +162,12 @@ def _load_strategy(spec, actions, who) -> Strategy:
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must be an object with 'coeff' and 'exp'"
                 )
+            coeff = doc["coeff"]
+            if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
+                raise ChainFormatError(f"{who}[{s!r}][{a!r}]: 'coeff' must be a number")
             try:
-                row[a] = monomial(float(doc["coeff"]), parse_exponent(doc["exp"]))
-            except (TypeError, ValueError) as exc:
+                row[a] = monomial(coeff, parse_exponent(doc["exp"]))
+            except ValueError as exc:
                 raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
         out[s] = row
     validate_strategy(out, actions, who)
@@ -182,10 +185,9 @@ def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> Non
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
                 )
-        mass0 = sum(m.coeff for m in row.values() if m.exp == 0)
-        if abs(mass0 - 1.0) > _STRATEGY_MASS_TOL:
+        if not is_exactly_leaving(row):
             raise ChainFormatError(
-                f"{who}[{s!r}]: exponent-0 weights sum to {mass0!r}, not 1"
+                f"{who}[{s!r}]: exponent-0 weights sum to {exp0_mass(row)!r}, not 1"
             )
 
 

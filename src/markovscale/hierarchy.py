@@ -12,8 +12,8 @@ structure is
     P_t = mu . exp(A t) . M
 
 with mu the entrance law into the final classes, A the aggregated unit-scale
-generator, and M the within-class limit measures, plus the skeleton averaging
-period N for the extended (stepwise) position.
+generator, and M the within-class limit measures, plus the averaging period N
+for the extended (stepwise) position, read off the level-1 class periods.
 
 Every exponent the ladder produces is a Z-combination of the chain's entry
 exponents, so `analyze` runs it on ints counting units of 1/D, with D the
@@ -40,7 +40,7 @@ from .asymptotics import (
     mono_limit,
     mono_mul,
 )
-from .chain_model import PerturbedChain, averaging_period, is_exactly_leaving
+from .chain_model import PerturbedChain, is_exactly_leaving
 from .errors import InputError, InternalError
 from .structure import ClassDecomposition, classify, entrance_law, invariant_measure
 
@@ -74,7 +74,6 @@ class LimitModel:
 
     chain: PerturbedChain
     levels: list[HierarchyLevel]
-    terminal_alpha: Exponent
     classes: list[Node]
     mu: np.ndarray
     A: np.ndarray
@@ -275,14 +274,10 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     except InternalError as exc:
         raise InternalError(f"level {final.index}, entrance law: {exc}") from exc
 
-    node_of: dict[str, Node] = {}
+    mu = np.zeros((n, nclasses))
     for node in final.nodes:
         for s in node:
-            node_of[s] = node
-
-    mu = np.zeros((n, nclasses))
-    for s in chain.states:
-        mu[chain.index[s]] = law[node_of[s]]
+            mu[chain.index[s]] = law[node]
 
     A = np.zeros((nclasses, nclasses))
     for i, node in enumerate(classes):
@@ -317,14 +312,21 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     return LimitModel(
         chain=chain,
         levels=levels,
-        terminal_alpha=frac(terminal),
         classes=classes,
         mu=mu,
         A=A,
         M=M,
-        N=averaging_period(chain),
+        N=averaging_period(levels),
         alphas=[frac(a) for a in alphas] + [frac(terminal)],
     )
+
+
+def averaging_period(levels: list[HierarchyLevel]) -> int:
+    """N: the product of the level-1 class periods, 1 without a level 1.  A
+    class of period > 1 has no self-loop, so its rows leave exactly, on
+    exponent-0 arcs only, and it is the same class with the same period in
+    the sub-unit skeleton (arcs below exponent 1, surviving diagonals)."""
+    return math.prod(levels[1].period.values()) if len(levels) > 1 else 1
 
 
 def _to_fractions(levels: list[HierarchyLevel], frac) -> None:
@@ -361,13 +363,12 @@ def report(model: LimitModel) -> dict:
     (classes, mu, A, M row-major, N)."""
     levels_doc = []
     for lev in model.levels[1:]:
-        prev = model.levels[lev.index - 1]
         levels_doc.append(
             {
                 "alpha": format_exponent(lev.alpha),
                 "classes": [
-                    [_node_name(member) for member in cls]
-                    for cls in _level_classes(lev, prev)
+                    [_node_name(member) for member in lev.measures[node]]
+                    for node in lev.recurrent_nodes
                 ],
                 "transient": [_node_name(t) for t in lev.transient_nodes],
                 "measures": {
@@ -387,16 +388,6 @@ def report(model: LimitModel) -> dict:
         "M": model.M.tolist(),
         "N": model.N,
     }
-
-
-def _level_classes(level: HierarchyLevel, previous: HierarchyLevel) -> list[list[Node]]:
-    """Members (previous-level nodes) of each class node, in node order."""
-    members: dict[Node, list[Node]] = {node: [] for node in level.recurrent_nodes}
-    for p in previous.nodes:
-        group = members.get(level.parent[p])
-        if group is not None:
-            group.append(p)
-    return list(members.values())
 
 
 def parse_report(source) -> dict:

@@ -1,5 +1,6 @@
 """Shared test utilities: fixture paths, random chain generators, numeric oracles."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from markovscale import ONE, ZERO, HierarchyLevel, chain_from_entries, monomial
 from markovscale.asymptotics import mono_add, mono_div, mono_eval, mono_mul, mono_sum
 from markovscale.chain_model import is_exactly_leaving
 from markovscale.hierarchy import build_level, next_threshold
+from markovscale.structure import classify
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -94,6 +96,90 @@ def random_chain(rng: np.random.Generator, max_states: int = 6, pool=EXPONENT_PO
         for tgt, e, c in zip(targets, exps, coeffs):
             entries[(src, tgt)] = monomial(float(c), e)
     return chain_from_entries(states, entries)
+
+
+def random_periodic_chain(rng: np.random.Generator):
+    """Zero to three exactly-leaving blocks plus one to four feeder states.
+
+    Block rows carry exponent-0 arcs only, with coefficients summing to one,
+    in one of three shapes: a directed cycle, a bipartite graph (every arc
+    crosses between two sides) or a cycle with chords, so most blocks have a
+    period > 1.  A quarter of the blocks get one more exponent-0 arc out to a
+    feeder, which opens them.  Feeder rows are absorbing, exactly leaving,
+    or draw one to three arcs to any state with exponents from
+    `EXPONENT_POOL`, keeping their exponent-0 mass <= 0.85.
+    """
+    feeders = [f"f{i}" for i in range(int(rng.integers(1, 5)))]
+    blocks = [
+        [f"b{b}_{i}" for i in range(int(rng.integers(2, 7)))]
+        for b in range(int(rng.integers(0, 4)))
+    ]
+    states = feeders + [s for block in blocks for s in block]
+    targets: dict = {}  # block state -> its exponent-0 targets
+    for block in blocks:
+        k = len(block)
+        shape = int(rng.integers(3))
+        if shape == 1 and k > 2:
+            h = int(rng.integers(1, k))
+            sides = (block[:h], block[h:])
+            for side, other in (sides, sides[::-1]):
+                for u in side:
+                    m = int(rng.integers(1, len(other) + 1))
+                    targets[u] = {str(v) for v in rng.choice(other, size=m, replace=False)}
+        else:
+            for i, u in enumerate(block):
+                targets[u] = {block[(i + 1) % k]}
+            if shape == 2 and k > 2:
+                for _ in range(int(rng.integers(1, 3))):
+                    i, d = int(rng.integers(k)), int(rng.integers(2, k))
+                    targets[block[i]].add(block[(i + d) % k])
+        if rng.random() < 0.25:
+            targets[str(rng.choice(block))].add(str(rng.choice(feeders)))
+    entries = {}
+    for u, vs in targets.items():
+        coeffs = rng.uniform(0.1, 1.0, size=len(vs))
+        for v, c in zip(sorted(vs), coeffs / coeffs.sum()):
+            entries[(u, v)] = monomial(float(c), Fraction(0))
+    for src in feeders:
+        others = [s for s in states if s != src]
+        kind = rng.random()
+        if kind < 0.2 or not others:
+            continue
+        k = int(rng.integers(1, min(3, len(others)) + 1))
+        dsts = [str(t) for t in rng.choice(others, size=k, replace=False)]
+        coeffs = rng.uniform(0.1, 1.0, size=k)
+        if kind < 0.35:
+            exps = [Fraction(0)] * k
+            coeffs = coeffs / coeffs.sum()
+        else:
+            exps = [EXPONENT_POOL[int(rng.integers(len(EXPONENT_POOL)))] for _ in dsts]
+            mass = sum(c for c, e in zip(coeffs, exps) if e == 0)
+            if mass > 0.85:
+                coeffs = [c * 0.85 / mass if e == 0 else c for c, e in zip(coeffs, exps)]
+        for v, c, e in zip(dsts, coeffs, exps):
+            entries[(src, v)] = monomial(float(c), e)
+    order = [str(s) for s in rng.permutation(states)]
+    return chain_from_entries(order, entries)
+
+
+def sub_unit_skeleton(chain) -> dict:
+    """Adjacency of the sub-unit skeleton: arcs with exponent < 1, plus a
+    self-loop wherever the implied diagonal survives in the limit (the row is
+    not exactly leaving)."""
+    adj = {}
+    for s in chain.states:
+        row = chain.row(s)
+        succ = {d for d, m in row.items() if m.exp < 1}
+        if not is_exactly_leaving(row):
+            succ.add(s)
+        adj[s] = succ
+    return adj
+
+
+def averaging_period(chain) -> int:
+    """Reference N, from a classification of the whole chain's sub-unit
+    skeleton: the product of the periods of its recurrence classes."""
+    return math.prod(classify(sub_unit_skeleton(chain)).period.values())
 
 
 def random_critical_chain(rng: np.random.Generator):

@@ -1,4 +1,4 @@
-"""Chain loading, validation, implied diagonals, skeleton graph, period N."""
+"""Chain loading, validation, implied diagonals, the skeleton reference, period N."""
 
 import json
 import math
@@ -10,12 +10,12 @@ import pytest
 from markovscale import (
     ChainFormatError,
     Monomial,
+    analyze,
     chain_from_entries,
     dump_chain,
     load_chain,
     monomial,
 )
-from markovscale.chain_model import averaging_period, sub_unit_skeleton
 from markovscale.oracle import instantiate
 
 from helpers import (
@@ -23,6 +23,7 @@ from helpers import (
     fixture,
     random_chain,
     random_trap_chain,
+    sub_unit_skeleton,
     unpruned_row_lambda_max,
 )
 
@@ -121,6 +122,8 @@ def test_instantiated_rows_sum_to_one_across_the_lambda_range():
         two_state([arc("1", "2", 1.0, "0.5")]),
         two_state([{"from": "1", "to": "2", "coeff": 1.0}]),
         two_state([{"from": "1", "to": "2", "coeff": 1.0, "exp": "1", "why": 1}]),
+        two_state([arc("1", "2", 1.0, 1)]),
+        two_state([arc("1", "2", 1.0, ["1"])]),
     ],
 )
 def test_malformed_documents_are_rejected(doc):
@@ -186,38 +189,38 @@ def test_skeleton_keeps_sub_unit_arcs_alongside_surviving_diagonals():
 
 
 def test_averaging_period_of_the_eightstate_chain_is_two():
-    assert averaging_period(load_chain(fixture("eightstate.json"))) == 2
+    assert analyze(load_chain(fixture("eightstate.json"))).N == 2
 
 
 def test_averaging_period_of_the_swap_chain_is_two():
-    assert averaging_period(load_chain(fixture("twostate_swap.json"))) == 2
+    assert analyze(load_chain(fixture("twostate_swap.json"))).N == 2
 
 
 def test_averaging_period_is_one_for_aperiodic_and_frozen_chains():
-    assert averaging_period(load_chain(fixture("twostate_unit.json"))) == 1
-    assert averaging_period(load_chain(fixture("twostate_half.json"))) == 1
+    assert analyze(load_chain(fixture("twostate_unit.json"))).N == 1
+    assert analyze(load_chain(fixture("twostate_half.json"))).N == 1
     frozen = chain_from_entries(["a", "b"], {})
-    assert averaging_period(frozen) == 1
+    assert analyze(frozen).N == 1
 
 
 def test_averaging_period_ignores_transient_skeleton_states():
     # state 2 leaves instantly, so only the frozen state 3 forms a class
     chain = load_chain(fixture("funnel_instant.json"))
-    assert averaging_period(chain) == 1
+    assert analyze(chain).N == 1
 
 
 def test_averaging_period_is_invariant_under_relabeling():
     rng = np.random.default_rng(2024)
     for _ in range(25):
         chain = random_chain(rng)
-        n = averaging_period(chain)
+        n = analyze(chain).N
         perm = list(rng.permutation(list(chain.states)))
         rename = dict(zip(chain.states, perm))
         entries = {
             (rename[a], rename[b]): mono for (a, b), mono in chain.entries.items()
         }
         shuffled = chain_from_entries(perm, entries)
-        assert averaging_period(shuffled) == n
+        assert analyze(shuffled).N == n
 
 
 def test_builder_rejects_exactly_leaving_rows_with_vanishing_arcs():

@@ -97,6 +97,14 @@ def broken(mutate):
             lambda d: d["strategy2"]["s"]["L"].update(coeff=-0.5),
             "strategy2",
         ),
+        (
+            lambda d: d["strategy2"]["s"]["L"].update(coeff="0.5"),
+            "'coeff' must be a number",
+        ),
+        (
+            lambda d: d["strategy1"]["s"]["stay"].update(coeff=True),
+            "'coeff' must be a number",
+        ),
     ],
 )
 def test_load_game_rejects_malformed_documents(mutate, message):

@@ -19,17 +19,19 @@ from markovscale import (
     report,
 )
 from markovscale import hierarchy
-from markovscale.chain_model import sub_unit_skeleton
 from markovscale.evaluator import expm
 from markovscale.hierarchy import _level_support, build_level, next_threshold
 from markovscale.oracle import instantiate, matrix_power_position
 
 from helpers import (
     COPRIME_POOL,
+    averaging_period,
     fixture,
     random_chain,
+    random_periodic_chain,
     random_trap_chain,
     reference_ladder,
+    sub_unit_skeleton,
     support_graph,
 )
 
@@ -44,7 +46,7 @@ def F(p, q=1):
 def test_eightstate_threshold_sequence():
     model = analyze(load_chain(fixture("eightstate.json")))
     assert model.alphas == [F(0), F(1, 5), F(2, 5), F(3, 5), F(1)]
-    assert model.terminal_alpha == F(1)
+    assert model.alphas[-1] == F(1)
     assert len(model.levels) == 5  # base plus one level per built threshold
 
 
@@ -131,14 +133,14 @@ def test_critical_chain_terminates_immediately_with_identity_factors():
 
 def test_super_critical_chain_has_zero_generator():
     model = analyze(load_chain(fixture("twostate_heavy.json")))
-    assert model.terminal_alpha == F(2) and model.terminal_alpha > 1
+    assert model.alphas[-1] == F(2) and model.alphas[-1] > 1
     np.testing.assert_allclose(model.A, np.zeros((2, 2)), atol=0)
     np.testing.assert_allclose(position(model, t=7.0), np.eye(2), atol=0)
 
 
 def test_frozen_chain_yields_singleton_classes_and_no_dynamics():
     model = analyze(chain_from_entries(["a", "b", "c"], {}))
-    assert model.terminal_alpha == math.inf
+    assert model.alphas[-1] == math.inf
     assert model.classes == [("a",), ("b",), ("c",)]
     np.testing.assert_allclose(model.A, np.zeros((3, 3)), atol=0)
     assert model.N == 1
@@ -178,6 +180,24 @@ def test_surviving_diagonal_rule_agrees_across_callers_at_the_tolerance(mass0, l
     assert model.classes == [("a", "b")]
     assert model.levels[1].period[("a", "b")] == (2 if leaves else 1)
     assert model.N == (2 if leaves else 1)
+
+
+def test_averaging_period_matches_the_sub_unit_skeleton_reference():
+    # analyze reads N off the level-1 class periods; the reference classifies
+    # the sub-unit skeleton of the whole chain.  Chains with N > 1 and a level
+    # above level 1 tell level 1 apart from the last level.
+    rng = np.random.default_rng(53)
+    chains = [random_chain(rng, max_states=7) for _ in range(400)]
+    chains += [random_trap_chain(rng) for _ in range(100)]
+    chains += [random_periodic_chain(rng) for _ in range(600)]
+    periodic = deep = 0
+    for chain in chains:
+        model = analyze(chain)
+        n = averaging_period(chain)
+        assert model.N == n
+        periodic += n > 1
+        deep += n > 1 and len(model.levels) > 2
+    assert periodic >= 300 and deep >= 100
 
 
 def _all_exponents(model):
