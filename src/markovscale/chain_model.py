@@ -10,6 +10,7 @@ matrices.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -158,6 +159,21 @@ def read_json_file(path, what: str, error: type[InputError] = ChainFormatError):
         raise error(f"{what} file is not valid JSON: {exc}") from None
 
 
+def read_number(value, where: str, *args, error: type[InputError] = ChainFormatError) -> float:
+    """`value` as a float.  A value that is not a real number (strings and
+    booleans included) or that is too large for a float raises `error`,
+    naming the location `where % args`, which is formatted only then: the
+    loaders read thousands of numbers per document."""
+    if type(value) is float:  # the common case, ahead of the slow ABC check
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{where % args} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{where % args} is too large for a float") from None
+
+
 def load_chain(source) -> PerturbedChain:
     """Load a chain from a JSON document (path, JSON text is not accepted —
     pass a parsed dict instead) and validate it.
@@ -198,17 +214,15 @@ def load_chain(source) -> PerturbedChain:
         if missing:
             raise ChainFormatError(f"{where}: missing keys {sorted(missing)}")
         src, dst = tr["from"], tr["to"]
-        coeff = tr["coeff"]
-        if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
-            raise ChainFormatError(f"{where}: 'coeff' must be a number")
+        coeff = read_number(tr["coeff"], "transitions[%d]: 'coeff'", i)
         if coeff <= 0:
-            raise ChainFormatError(f"{where}: 'coeff' must be > 0, got {coeff!r}")
+            raise ChainFormatError(f"{where}: 'coeff' must be > 0, got {tr['coeff']!r}")
         text = tr["exp"]
         try:
             exp = parsed.get(text) if isinstance(text, str) else None
             if exp is None:
                 exp = parsed[text] = parse_exponent(text)
-            m = monomial(float(coeff), exp)
+            m = monomial(coeff, exp)
         except ValueError as exc:
             raise ChainFormatError(f"{where}: {exc}") from None
         if (src, dst) in entries:

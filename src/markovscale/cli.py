@@ -33,163 +33,118 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _print_json(doc) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _print_matrix(labels_out, mat) -> None:
-    width = max((len(s) for s in labels_out), default=1)
-    for s, row in zip(labels_out, mat):
-        cells = "  ".join(_fmt(v) for v in row)
-        print(f"{s:>{width}}  {cells}")
+def _dumps(doc) -> str:
+    """The one serialization of every document the CLI prints or writes.
+    numpy arrays in `doc` become lists here, so a text run never converts them."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist)
 
 
 def _write_json(path: str, doc) -> None:
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(_dumps(doc) + "\n")
 
 
-def _cmd_analyze(args) -> int:
-    chain = load_chain(args.chain)
-    model = analyze(chain)
-    doc = report(model)
+def _matrix(labels, mat):
+    width = max((len(s) for s in labels), default=1)
+    for s, row in zip(labels, mat):
+        yield f"{s:>{width}}  " + "  ".join(_fmt(v) for v in row)
+
+
+def _cmd_analyze(args, chain):
+    doc = report(analyze(chain))
     if args.out:
         _write_json(args.out, doc)
-    if args.json:
-        _print_json(doc)
-        return 0
-    print("thresholds: " + ", ".join(doc["alphas"]))
-    print(f"N = {doc['N']}")
-    for i, cls in enumerate(doc["classes"]):
-        print(f"class {i}: " + " ".join(cls))
-    print("mu (state x class):")
-    _print_matrix(chain.states, doc["mu"])
-    print("A (class x class):")
-    _print_matrix([" ".join(c) for c in doc["classes"]], doc["A"])
-    print("M (class x state):")
-    _print_matrix([" ".join(c) for c in doc["classes"]], doc["M"])
-    if args.out:
-        print(f"report written to {args.out}")
-    return 0
+
+    def text():
+        yield "thresholds: " + ", ".join(doc["alphas"])
+        yield f"N = {doc['N']}"
+        names = [" ".join(cls) for cls in doc["classes"]]
+        for i, name in enumerate(names):
+            yield f"class {i}: {name}"
+        yield "mu (state x class):"
+        yield from _matrix(chain.states, doc["mu"])
+        yield "A (class x class):"
+        yield from _matrix(names, doc["A"])
+        yield "M (class x state):"
+        yield from _matrix(names, doc["M"])
+        if args.out:
+            yield f"report written to {args.out}"
+
+    return doc, text()
 
 
-def _cmd_position(args) -> int:
-    chain = load_chain(args.chain)
+def _cmd_position(args, chain):
     if (args.t is None) == (args.fraction is None):
         raise InputError("give exactly one of --t and --fraction")
-    model = analyze(chain)
-    P = position(model, t=args.t, fraction=args.fraction)
+    P = position(analyze(chain), t=args.t, fraction=args.fraction)
     horizon = args.t if args.t is not None else -np.log1p(-args.fraction)
-    if args.from_state is not None:
-        if args.from_state not in chain.index:
-            raise InputError(f"unknown state {args.from_state!r}")
-        row = P[chain.index[args.from_state]]
-        if args.json:
-            _print_json(
-                {
-                    "states": list(chain.states),
-                    "t": horizon,
-                    "from": args.from_state,
-                    "position": [float(v) for v in row],
-                }
-            )
-        else:
-            _print_matrix([args.from_state], [row])
-        return 0
-    if args.json:
-        _print_json(
-            {
-                "states": list(chain.states),
-                "t": horizon,
-                "position": [[float(v) for v in row] for row in P],
-            }
-        )
-    else:
-        _print_matrix(chain.states, P)
-    return 0
+    doc = {"states": list(chain.states), "t": horizon, "position": P}
+    if args.from_state is None:
+        return doc, _matrix(chain.states, P)
+    if args.from_state not in chain.index:
+        raise InputError(f"unknown state {args.from_state!r}")
+    doc.update({"from": args.from_state, "position": P[chain.index[args.from_state]]})
+    return doc, _matrix([args.from_state], [doc["position"]])
 
 
-def _cmd_occupation(args) -> int:
-    chain = load_chain(args.chain)
+def _cmd_occupation(args, chain):
     if args.total == (args.t is not None):
         raise InputError("give exactly one of --t and --total")
-    model = analyze(chain)
-    res = occupation(model, t=args.t, total=args.total)
-    if args.json:
-        _print_json(
-            {
-                "states": list(chain.states),
-                "horizon": res.horizon,
-                "occupation": [[float(v) for v in row] for row in res.matrix],
-            }
-        )
-    else:
+    res = occupation(analyze(chain), t=args.t, total=args.total)
+    doc = {"states": list(chain.states), "horizon": res.horizon, "occupation": res.matrix}
+
+    def text():
         label = "total" if res.horizon is None else f"t = {_fmt(res.horizon)}"
-        print(f"occupation ({label}):")
-        _print_matrix(chain.states, res.matrix)
-    return 0
+        yield f"occupation ({label}):"
+        yield from _matrix(chain.states, res.matrix)
+
+    return doc, text()
 
 
-def _cmd_payoff(args) -> int:
-    chain = load_chain(args.chain)
+def _cmd_payoff(args, chain):
     gdoc = read_json_file(args.g, "payoff", InputError)
     if not isinstance(gdoc, dict):
         raise InputError("payoff file must be a JSON object state -> number")
-    model = analyze(chain)
-    vals = limit_payoff(model, gdoc)
-    if args.json:
-        _print_json({"states": list(chain.states), "payoff": [float(v) for v in vals]})
-    else:
-        width = max(len(s) for s in chain.states)
-        for s, v in zip(chain.states, vals):
-            print(f"{s:>{width}}  {_fmt(v)}")
-    return 0
+    vals = limit_payoff(analyze(chain), gdoc)
+    return {"states": list(chain.states), "payoff": vals}, _matrix(chain.states, vals[:, None])
 
 
-def _cmd_verify(args) -> int:
-    chain = load_chain(args.chain)
+def _cmd_verify(args, chain):
     try:
         lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
     except ValueError:
         raise InputError(f"malformed --lambdas {args.lambdas!r}") from None
     if not lambdas:
         raise InputError("--lambdas must list at least one value")
-    model = analyze(chain)
-    diag = convergence_sweep(chain, model, args.t, lambdas)
-    if args.json:
-        _print_json(diag.entries)
-        return 0
-    print(f"{'lambda':>12}  {'position_err':>14}  {'occupation_t_err':>17}  {'total_err':>12}")
-    for e in diag.entries:
-        print(
-            f"{_fmt(e['lambda']):>12}  {_fmt(e['position_err']):>14}  "
-            f"{_fmt(e['occupation_t_err']):>17}  {_fmt(e['total_err']):>12}"
-        )
-    ok = lambda flag: "non-increasing" if flag else "NOT non-increasing"  # noqa: E731
-    print(f"position error:     {ok(diag.position_non_increasing)}")
-    print(f"occupation_t error: {ok(diag.occupation_non_increasing)}")
-    print(f"total error:        {ok(diag.total_non_increasing)}")
-    return 0
+    diag = convergence_sweep(chain, analyze(chain), args.t, lambdas)
+
+    def text():
+        columns = {"lambda": 12, "position_err": 14, "occupation_t_err": 17, "total_err": 12}
+        yield "  ".join(f"{key:>{w}}" for key, w in columns.items())
+        for e in diag.entries:
+            yield "  ".join(f"{_fmt(e[key]):>{w}}" for key, w in columns.items())
+        ok = lambda flag: "non-increasing" if flag else "NOT non-increasing"  # noqa: E731
+        yield f"position error:     {ok(diag.position_non_increasing)}"
+        yield f"occupation_t error: {ok(diag.occupation_non_increasing)}"
+        yield f"total error:        {ok(diag.total_non_increasing)}"
+
+    return diag.entries, text()
 
 
-def _cmd_game_compile(args) -> int:
-    game, x, y = load_game(args.game)
-    chain, g = compile_game(game, x, y)
-    doc = dump_chain(chain)
+def _cmd_game_compile(args, _):
+    chain, g = compile_game(*load_game(args.game))
+    doc = {"chain": dump_chain(chain), "payoff": dict(zip(chain.states, g.tolist()))}
     if args.out:
-        _write_json(args.out, doc)
+        _write_json(args.out, doc["chain"])
     if args.payoff_out:
-        _write_json(args.payoff_out, {s: float(v) for s, v in zip(chain.states, g)})
-    if args.json:
-        _print_json({"chain": doc, "payoff": {s: float(v) for s, v in zip(chain.states, g)}})
-        return 0
-    if not args.out:
-        _print_json(doc)
-    else:
-        print(f"chain written to {args.out}")
-        if args.payoff_out:
-            print(f"payoff vector written to {args.payoff_out}")
-    return 0
+        _write_json(args.payoff_out, doc["payoff"])
+
+    def text():
+        yield f"chain written to {args.out}" if args.out else _dumps(doc["chain"])
+        if args.out and args.payoff_out:
+            yield f"payoff vector written to {args.payoff_out}"
+
+    return doc, text()
 
 
 def _build_parser() -> _Parser:
@@ -242,16 +197,18 @@ def main(argv=None) -> int:
         if not getattr(args, "fn", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.fn(args)
-    except InputError as exc:
+        # one chain load and one print for every subcommand: each _cmd_* returns
+        # its JSON document and a lazy text rendering, made only when printed
+        doc, text = args.fn(args, load_chain(args.chain) if "chain" in args else None)
+        for line in [_dumps(doc)] if args.json else text:
+            print(line)
+        return 0
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (InternalError, ResourceError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

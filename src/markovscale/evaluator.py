@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from .asymptotics import mono_sum
-from .chain_model import PerturbedChain
+from .chain_model import PerturbedChain, read_number
 from .errors import InputError, InternalError
 from .hierarchy import LimitModel
 
@@ -89,7 +89,9 @@ def payoff_vector(chain: PerturbedChain, g) -> np.ndarray:
         extra = [s for s in g if s not in chain.index]
         if extra:
             raise InputError(f"payoff vector has unknown states: {extra}")
-        vec = np.array([float(g[s]) for s in chain.states])
+        vec = np.array(
+            [read_number(g[s], "payoff vector entry %r", s, error=InputError) for s in chain.states]
+        )
     else:
         vec = np.asarray(g, dtype=float)
         if vec.shape != (chain.n_states,):

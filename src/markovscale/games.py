@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import ZERO, Monomial, mono_add, mono_limit, mono_mul, monomial, parse_exponent
-from .chain_model import PerturbedChain, chain_from_entries, exp0_mass, is_exactly_leaving, read_json_file
+from .chain_model import (
+    PerturbedChain,
+    chain_from_entries,
+    exp0_mass,
+    is_exactly_leaving,
+    read_json_file,
+    read_number,
+)
 from .errors import ChainFormatError
 from .evaluator import limit_payoff
 from .hierarchy import analyze
@@ -85,12 +92,15 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
         rows = doc["payoff"].get(s) if isinstance(doc["payoff"], dict) else None
         if rows is None:
             raise ChainFormatError(f"payoff is missing state {s!r}")
-        mat = np.asarray(rows, dtype=float)
-        if mat.shape != (len(actions1[s]), len(actions2[s])):
-            raise ChainFormatError(
-                f"payoff[{s!r}] has shape {mat.shape}, expected "
-                f"({len(actions1[s])}, {len(actions2[s])})"
-            )
+        n1, n2 = len(actions1[s]), len(actions2[s])
+        if not isinstance(rows, list) or len(rows) != n1 or any(
+            not isinstance(row, list) or len(row) != n2 for row in rows
+        ):
+            raise ChainFormatError(f"payoff[{s!r}] must be a list of {n1} rows of {n2} numbers")
+        mat = np.array([
+            [read_number(v, "payoff[%r][%d][%d]", s, i, j) for j, v in enumerate(row)]
+            for i, row in enumerate(rows)
+        ])
         if not np.isfinite(mat).all() or (mat < 0).any() or (mat > 1).any():
             raise ChainFormatError(f"payoff[{s!r}] values must lie in [0, 1]")
         payoff[s] = mat
@@ -123,12 +133,13 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
                         raise ChainFormatError(
                             f"transition[{s!r}][{a1!r}][{a2!r}] targets unknown state {dest!r}"
                         )
-                    if not isinstance(p, (int, float)) or isinstance(p, bool) or p < 0:
+                    p = read_number(p, "transition[%r][%r][%r][%r]", s, a1, a2, dest)
+                    if p < 0:
                         raise ChainFormatError(
                             f"transition[{s!r}][{a1!r}][{a2!r}][{dest!r}] must be a probability"
                         )
-                    total += float(p)
-                    clean[dest] = float(p)
+                    total += p
+                    clean[dest] = p
                 if abs(total - 1.0) > _TRANSITION_SUM_TOL:
                     raise ChainFormatError(
                         f"transition[{s!r}][{a1!r}][{a2!r}] sums to {total!r}, not 1"
@@ -162,9 +173,7 @@ def _load_strategy(spec, actions, who) -> Strategy:
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must be an object with 'coeff' and 'exp'"
                 )
-            coeff = doc["coeff"]
-            if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
-                raise ChainFormatError(f"{who}[{s!r}][{a!r}]: 'coeff' must be a number")
+            coeff = read_number(doc["coeff"], "%s[%r][%r]: 'coeff'", who, s, a)
             try:
                 row[a] = monomial(coeff, parse_exponent(doc["exp"]))
             except ValueError as exc:

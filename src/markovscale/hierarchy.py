@@ -179,9 +179,9 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         new_nodes.append(t)
         transient_nodes.append(t)
 
+    # classify lists classes and transients in node order, which is state
+    # order, so only the merged list needs sorting
     new_nodes.sort(key=lambda n: state_order[n[0]])
-    recurrent_nodes.sort(key=lambda n: state_order[n[0]])
-    transient_nodes.sort(key=lambda n: state_order[n[0]])
 
     agg: dict[Node, dict[Node, Monomial]] = {n: {} for n in new_nodes}
     for cls in decomp.recurrent:
@@ -288,10 +288,8 @@ def analyze(chain: PerturbedChain) -> LimitModel:
                     f"sub-unit exit exponent {fmt(m.exp)} to {_node_name(v)} at termination"
                 )
             if m.exp == D:
-                row_v = law[v]
-                for j in range(nclasses):
-                    if j != i:
-                        A[i, j] += m.coeff * row_v[j]
+                A[i] += m.coeff * law[v]
+        A[i, i] = 0.0  # the diagonal is minus the off-diagonal row sum
         A[i, i] = -A[i].sum()
 
     M = np.zeros((nclasses, n))

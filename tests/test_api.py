@@ -1,17 +1,20 @@
-"""The package namespace is the API that the README's Library section documents."""
+"""The package namespace is the API that the README's Library section documents,
+and every command line in the README's Command line block parses."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import markovscale
+from markovscale.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _library_section() -> str:
+def _section(title: str) -> str:
     text = README.read_text()
-    start = text.index("\n## Library\n")
+    start = text.index(f"\n## {title}\n")
     end = text.find("\n## ", start + 1)
     return text[start : end if end != -1 else len(text)]
 
@@ -20,7 +23,7 @@ def _documented_names() -> set:
     """Backticked names that open a bullet of the Library section, up to its
     dash: `- `load_chain`, `chain_from_entries`, `dump_chain` — ...`."""
     names = set()
-    for line in _library_section().splitlines():
+    for line in _section("Library").splitlines():
         if line.startswith("- ") and " — " in line:
             names.update(re.findall(r"`([A-Za-z_]\w*)", line.split(" — ")[0]))
     return names
@@ -46,3 +49,14 @@ def test_every_readme_import_resolves():
     assert any(module == "markovscale" for module, _ in imports)
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_every_readme_command_line_parses():
+    lines = [line for line in _section("Command line").splitlines() if line.startswith("markovscale ")]
+    parser = _build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])  # raises InputError on a bad line
+        assert args.fn is not None, line
+    assert {line.split()[1] for line in lines} == {
+        "analyze", "position", "occupation", "payoff", "verify", "game-compile"
+    }

@@ -124,6 +124,7 @@ def test_instantiated_rows_sum_to_one_across_the_lambda_range():
         two_state([{"from": "1", "to": "2", "coeff": 1.0, "exp": "1", "why": 1}]),
         two_state([arc("1", "2", 1.0, 1)]),
         two_state([arc("1", "2", 1.0, ["1"])]),
+        two_state([arc("1", "2", 10**401, "1")]),  # too large for a float
     ],
 )
 def test_malformed_documents_are_rejected(doc):

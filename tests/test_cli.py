@@ -2,12 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import markovscale
 from markovscale import analyze, load_chain, parse_report, position
 from markovscale.cli import main
+from markovscale.oracle import convergence_sweep
 
 from helpers import fixture
 
@@ -203,6 +209,15 @@ def test_payoff_gfile_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "payoff", UNIT, "--g", str(wrong))
     assert rc == 1
     assert "missing" in err
+    # values must be JSON numbers that a float can hold
+    for value, problem in [
+        ("1" + "0" * 400, "is too large for a float"),
+        ('"0.5"', "must be a number"),
+        ("true", "must be a number"),
+    ]:
+        wrong.write_text('{"1": %s, "2": 0.0}' % value)
+        rc, _, err = run(capsys, "payoff", UNIT, "--g", str(wrong))
+        assert (rc, err) == (1, f"error: payoff vector entry '1' {problem}\n")
 
 
 # ----------------------------------------------------------------- verify
@@ -279,3 +294,111 @@ def test_game_compile_missing_file(capsys):
     rc, _, err = run(capsys, "game-compile", "/nonexistent/game.json")
     assert rc == 1
     assert "cannot read" in err
+
+
+# ------------------------------------------------ text and JSON agreement
+
+CHAIN_FIXTURES = [
+    "eightstate.json",
+    "eightstate_primes.json",
+    "funnel_delayed.json",
+    "funnel_instant.json",
+    "twostate_half.json",
+    "twostate_heavy.json",
+    "twostate_swap.json",
+    "twostate_unit.json",
+]
+
+
+def text_and_json(capsys, *argv):
+    rc_text, text, _ = run(capsys, *argv)
+    rc_json, out, _ = run(capsys, *argv, "--json")
+    assert rc_text == rc_json == 0
+    return text.splitlines(), json.loads(out)
+
+
+def assert_rows(lines, labels, mat):
+    """Each line is its row's label, right-aligned, then two spaces and the
+    row's numbers at 12 significant digits, two spaces apart."""
+    assert len(lines) == len(labels) == len(mat)
+    for line, label, row in zip(lines, labels, mat):
+        cells = "  ".join(f"{v:.12g}" for v in row)
+        assert line.endswith("  " + cells), (line, cells)
+        assert line[: -len(cells) - 2].strip() == label
+
+
+@pytest.mark.parametrize("name", CHAIN_FIXTURES)
+def test_text_output_shows_the_labels_and_numbers_of_the_json_output(capsys, tmp_path, name):
+    path = fixture(name)
+    chain = load_chain(path)
+    states = list(chain.states)
+
+    lines, doc = text_and_json(capsys, "analyze", path)
+    names = [" ".join(cls) for cls in doc["classes"]]
+    k = len(names)
+    assert lines[:2] == ["thresholds: " + ", ".join(doc["alphas"]), f"N = {doc['N']}"]
+    assert lines[2 : 2 + k] == [f"class {i}: {c}" for i, c in enumerate(names)]
+    blocks = [
+        ("mu (state x class):", states, doc["mu"]),
+        ("A (class x class):", names, doc["A"]),
+        ("M (class x state):", names, doc["M"]),
+    ]
+    at = 2 + k
+    for title, labels, mat in blocks:
+        assert lines[at] == title
+        assert_rows(lines[at + 1 : at + 1 + len(labels)], labels, mat)
+        at += 1 + len(labels)
+    assert at == len(lines)
+
+    lines, doc = text_and_json(capsys, "position", path, "--t", "1")
+    assert doc["states"] == states
+    assert_rows(lines, states, doc["position"])
+    lines, doc = text_and_json(capsys, "position", path, "--fraction", "0.5", "--from", states[-1])
+    assert doc["from"] == states[-1]
+    assert_rows(lines, [states[-1]], [doc["position"]])
+
+    lines, doc = text_and_json(capsys, "occupation", path, "--t", "2")
+    assert lines[0] == f"occupation (t = {doc['horizon']:.12g}):"
+    assert_rows(lines[1:], doc["states"], doc["occupation"])
+    lines, doc = text_and_json(capsys, "occupation", path, "--total")
+    assert doc["horizon"] is None
+    assert lines[0] == "occupation (total):"
+    assert_rows(lines[1:], doc["states"], doc["occupation"])
+
+    gfile = tmp_path / "g.json"
+    gfile.write_text(json.dumps({s: (i + 1) / (len(states) + 1) for i, s in enumerate(states)}))
+    lines, doc = text_and_json(capsys, "payoff", path, "--g", str(gfile))
+    assert_rows(lines, doc["states"], [[v] for v in doc["payoff"]])
+
+    top = min(1e-2, chain.lambda_max)
+    lambdas = [top, top / 10]
+    lines, entries = text_and_json(capsys, "verify", path, "--t", "1", "--lambdas", f"{top!r},{top / 10!r}")
+    keys = ["lambda", "position_err", "occupation_t_err", "total_err"]
+    assert lines[0].split() == keys
+    assert [line.split() for line in lines[1:-3]] == [[f"{e[key]:.12g}" for key in keys] for e in entries]
+    diag = convergence_sweep(chain, analyze(chain), 1.0, lambdas)
+    flags = [diag.position_non_increasing, diag.occupation_non_increasing, diag.total_non_increasing]
+    for line, metric, flag in zip(lines[-3:], ["position", "occupation_t", "total"], flags):
+        label, verdict = line.split(":")
+        assert (label, verdict.strip()) == (f"{metric} error", "non-increasing" if flag else "NOT non-increasing")
+
+
+# -------------------------------------------------------- the entry point
+
+
+def test_entry_point_reports_an_oversized_coefficient_as_an_input_error(tmp_path):
+    chain = tmp_path / "big.json"
+    chain.write_text(
+        '{"states": ["1", "2"], "transitions": '
+        '[{"from": "1", "to": "2", "coeff": 1%s, "exp": "1"}]}' % ("0" * 400)
+    )
+    src = str(Path(markovscale.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "markovscale.cli", "analyze", str(chain)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: transitions[0]: 'coeff' is too large")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

@@ -160,6 +160,10 @@ def test_payoff_vector_accepts_both_forms(twostate):
     chain = twostate.chain
     np.testing.assert_array_equal(payoff_vector(chain, {"1": 0.2, "2": 0.8}), [0.2, 0.8])
     np.testing.assert_array_equal(payoff_vector(chain, [0.2, 0.8]), [0.2, 0.8])
+    # numpy scalars are numbers too
+    np.testing.assert_array_equal(
+        payoff_vector(chain, {"1": np.float32(0.25), "2": np.int64(1)}), [0.25, 1.0]
+    )
 
 
 def test_payoff_vector_validation(twostate):

@@ -105,6 +105,30 @@ def broken(mutate):
             lambda d: d["strategy1"]["s"]["stay"].update(coeff=True),
             "'coeff' must be a number",
         ),
+        (
+            lambda d: d["strategy2"]["s"]["L"].update(coeff=10**401),
+            r"strategy2\['s'\]\['L'\]: 'coeff' is too large",
+        ),
+        (
+            lambda d: d["transition"]["s"]["move"]["L"].update(t=10**401),
+            r"transition\['s'\]\['move'\]\['L'\]\['t'\] is too large",
+        ),
+        (
+            lambda d: d["payoff"]["s"][0].__setitem__(0, 10**401),
+            r"payoff\['s'\]\[0\]\[0\] is too large",
+        ),
+        (
+            lambda d: d["payoff"]["s"][1].__setitem__(0, "0.5"),
+            r"payoff\['s'\]\[1\]\[0\] must be a number",
+        ),
+        (
+            lambda d: d["payoff"]["t"][0].__setitem__(1, True),
+            r"payoff\['t'\]\[0\]\[1\] must be a number",
+        ),
+        (
+            lambda d: d["payoff"].update(s=[[0.2], [0.6, 0.8]]),
+            r"payoff\['s'\] must be a list of 2 rows of 2 numbers",
+        ),
     ],
 )
 def test_load_game_rejects_malformed_documents(mutate, message):
