@@ -77,7 +77,14 @@ def _row_lambda_max(state: str, row: dict[str, Monomial], cap: float) -> float:
             )
         return 1.0
     # c * lam**0.0 == c, so this matches mono_eval term by term
-    terms = [(m.coeff, float(m.exp)) for m in row.values()]
+    terms = []
+    for dst, m in row.items():
+        try:
+            terms.append((m.coeff, float(m.exp)))
+        except OverflowError:
+            raise ChainFormatError(
+                f"transition {state!r} -> {dst!r}: exponent is too large for a float"
+            ) from None
 
     def diag(lam: float) -> float:
         return 1.0 - sum(c * lam**e for c, e in terms)

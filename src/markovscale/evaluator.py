@@ -93,20 +93,30 @@ def payoff_vector(chain: PerturbedChain, g) -> np.ndarray:
             [read_number(g[s], "payoff vector entry %r", s, error=InputError) for s in chain.states]
         )
     else:
-        vec = np.asarray(g, dtype=float)
-        if vec.shape != (chain.n_states,):
+        # as objects, so that strings and booleans reach read_number unconverted
+        entries = np.asarray(g, dtype=object)
+        if entries.shape != (chain.n_states,):
             raise InputError(
-                f"payoff vector has shape {vec.shape}, expected ({chain.n_states},)"
+                f"payoff vector has shape {entries.shape}, expected ({chain.n_states},)"
             )
+        vec = np.array(
+            [read_number(v, "payoff vector entry %d", i, error=InputError)
+             for i, v in enumerate(entries)]
+        )
     if not np.isfinite(vec).all():
         raise InputError("payoff vector has non-finite entries")
     return vec
 
 
 def limit_payoff(model: LimitModel, g) -> np.ndarray:
-    """Per-state limit discounted payoff mu . (Id - A)^-1 . M . g."""
+    """Per-state limit discounted payoff mu . (Id - A)^-1 . M . g, solved on
+    the class vector M . g without forming the n x n occupation matrix."""
     vec = payoff_vector(model.chain, g)
-    return occupation(model, total=True).matrix @ vec
+    try:
+        x = np.linalg.solve(np.eye(model.n_classes) - model.A, model.M @ vec)
+    except np.linalg.LinAlgError:
+        raise InternalError("Id - A is singular") from None
+    return model.mu @ x
 
 
 def absorbing_closed_form(chain: PerturbedChain, t: float) -> np.ndarray:

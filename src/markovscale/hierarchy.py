@@ -17,13 +17,15 @@ for the extended (stepwise) position, read off the level-1 class periods.
 
 Every exponent the ladder produces is a Z-combination of the chain's entry
 exponents, so `analyze` runs it on ints counting units of 1/D, with D the
-common denominator of those exponents, and hands back `Fraction`s.
+common denominator of those exponents.  The levels it returns convert
+their tables to `Fraction` exponents when a row is first read.
 `next_threshold` and `build_level` are generic over the two representations.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -31,13 +33,11 @@ import numpy as np
 
 from .asymptotics import (
     INF,
-    ONE,
     ZERO,
     Exponent,
     Monomial,
     format_exponent,
     mono_add,
-    mono_limit,
     mono_mul,
 )
 from .chain_model import PerturbedChain, is_exactly_leaving
@@ -54,7 +54,9 @@ class HierarchyLevel:
 
     `nodes` live on this level; the class decomposition and the class
     measures are expressed over the previous level's nodes.  The base
-    level (index 0) has no threshold and no decomposition.
+    level (index 0) has no threshold and no decomposition.  The rows of
+    `measures` and `aggregated` are read-only: levels share the rows a
+    level leaves unchanged.
     """
 
     index: int
@@ -63,9 +65,65 @@ class HierarchyLevel:
     recurrent_nodes: list[Node]
     transient_nodes: list[Node]
     period: dict[Node, int]
-    measures: dict[Node, dict[Node, Monomial]]
-    aggregated: dict[Node, dict[Node, Monomial]]
+    measures: Mapping[Node, dict[Node, Monomial]]
+    aggregated: Mapping[Node, dict[Node, Monomial]]
     parent: dict[Node, Node]
+
+
+class _Publisher:
+    """Turns ladder rows on int exponents, counting units of 1/D, into rows
+    with public Fraction exponents, making one monomial per distinct
+    (coeff, exp) value.  A model's levels share one publisher."""
+
+    def __init__(self, D: int):
+        self.D = D
+        self._fractions: dict = {INF: INF}
+        self._monomials: dict[tuple, Monomial] = {}
+
+    def fraction(self, t):
+        """The Fraction t/D, memoized over the few distinct exponents."""
+        f = self._fractions.get(t)
+        if f is None:
+            f = self._fractions[t] = Fraction(t, self.D)
+        return f
+
+    def __call__(self, row: dict) -> dict:
+        out = {}
+        for v, m in row.items():
+            key = (m.coeff, m.exp)
+            p = self._monomials.get(key)
+            if p is None:
+                p = self._monomials[key] = Monomial(m.coeff, self.fraction(m.exp))
+            out[v] = p
+        return out
+
+
+class _PublicTable(Mapping):
+    """Read-only view of a ladder table (node -> row on int exponents) that
+    hands out each row as `publish` makes it, when the row is first read."""
+
+    def __init__(self, rows: dict, publish: _Publisher):
+        self._rows = rows
+        self._publish = publish
+        self._public: dict = {}
+
+    def __getitem__(self, node):
+        row = self._public.get(node)
+        if row is None:
+            row = self._public[node] = self._publish(self._rows[node])
+        return row
+
+    def __contains__(self, node) -> bool:
+        return node in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 @dataclass
@@ -86,13 +144,14 @@ class LimitModel:
         return len(self.classes)
 
 
-def _base_level(chain: PerturbedChain, ticks: dict) -> HierarchyLevel:
-    """Level 0, every state a node, each entry exponent replaced by its int
-    image under `ticks`."""
+def _base_level(chain: PerturbedChain, exps: list[int]) -> HierarchyLevel:
+    """Level 0, every state a node; `exps` holds the int exponents of the
+    chain's entries, in entry order."""
     nodes = [(s,) for s in chain.states]
+    node_of = dict(zip(chain.states, nodes))
     agg: dict[Node, dict[Node, Monomial]] = {n: {} for n in nodes}
-    for (src, dst), m in chain.entries.items():
-        agg[(src,)][(dst,)] = Monomial(m.coeff, ticks[m.exp])
+    for ((src, dst), m), e in zip(chain.entries.items(), exps):
+        agg[node_of[src]][node_of[dst]] = Monomial(m.coeff, e)
     return HierarchyLevel(
         index=0,
         alpha=None,
@@ -119,14 +178,16 @@ def next_threshold(level: HierarchyLevel) -> Exponent:
 def _level_support(aggregated: dict, nodes: list[Node], alpha: Exponent) -> dict:
     """Leading-order support at threshold alpha: rows whose minimal exit
     exponent is <= alpha contribute their min-attaining arcs, all other rows
-    are absorbing; self-loops follow the surviving-diagonal rule."""
+    are absorbing; self-loops follow the surviving-diagonal rule.  A row
+    without an exponent-0 arc has exponent-0 mass 0, so its diagonal
+    survives without asking the rule."""
     support = {}
     for u in nodes:
         row = aggregated[u]
         emin = min((m.exp for m in row.values()), default=INF)
         if emin <= alpha:
             succ = {v for v, m in row.items() if m.exp == emin}
-            if not is_exactly_leaving(row):
+            if emin != 0 or not is_exactly_leaving(row):
                 succ.add(u)
         else:
             succ = {u}
@@ -142,17 +203,16 @@ def _merge_nodes(members, state_order: dict) -> Node:
 
 
 def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain) -> HierarchyLevel:
-    """Aggregate the previous level at threshold alpha."""
+    """Aggregate the previous level at threshold alpha.
+
+    A node that stays itself (a one-node class or a transient) keeps the
+    previous level's row object when none of its targets merged; every other
+    row is built anew.  Rows are never mutated once built, so levels may
+    share them."""
     Q = previous.aggregated
-    prev_nodes = previous.nodes
     state_order = chain.index
 
-    support = _level_support(Q, prev_nodes, alpha)
-    decomp = classify(support)
-
-    restricted = {
-        u: {v: m for v, m in Q[u].items() if m.exp <= alpha} for u in prev_nodes
-    }
+    decomp = classify(_level_support(Q, previous.nodes, alpha))
 
     parent: dict[Node, Node] = {}
     new_nodes: list[Node] = []
@@ -160,20 +220,29 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     transient_nodes: list[Node] = []
     period: dict[Node, int] = {}
     measures: dict[Node, dict[Node, Monomial]] = {}
+    merged: dict[Node, tuple] = {}  # node -> class, for the classes of 2+ nodes
+    moved: set[Node] = set()  # the previous nodes in those classes
 
     for cls in decomp.recurrent:
-        node = _merge_nodes(cls, state_order)
+        node = _merge_nodes(cls, state_order) if len(cls) > 1 else cls[0]
         for member in cls:
             parent[member] = node
         new_nodes.append(node)
         recurrent_nodes.append(node)
         period[node] = decomp.period[cls]
+        # the kernel reads the arcs inside the class at exponent <= alpha only
+        mset = set(cls)
+        inside = {u: {v: m for v, m in Q[u].items() if v in mset and m.exp <= alpha}
+                  for u in cls}
         try:
-            measures[node] = invariant_measure(restricted, cls)
+            measures[node] = invariant_measure(inside, cls)
         except InternalError as exc:
             raise InternalError(
                 f"level {previous.index + 1}, class {_node_name(node)}: {exc}"
             ) from exc
+        if len(cls) > 1:
+            merged[node] = cls
+            moved.update(cls)
     for t in decomp.transient:
         parent[t] = t
         new_nodes.append(t)
@@ -183,24 +252,25 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     # order, so only the merged list needs sorting
     new_nodes.sort(key=lambda n: state_order[n[0]])
 
-    agg: dict[Node, dict[Node, Monomial]] = {n: {} for n in new_nodes}
-    for cls in decomp.recurrent:
-        node = parent[cls[0]]
-        pi = measures[node]
-        acc = agg[node]
-        for z in cls:
-            for v, m in Q[z].items():
+    agg: dict[Node, dict[Node, Monomial]] = {}
+    for u in new_nodes:
+        cls = merged.get(u)
+        if cls is not None:
+            pi = measures[u]
+            acc = {}
+            for z in cls:
+                for v, m in Q[z].items():
+                    tgt = parent[v]
+                    if tgt != u:
+                        acc[tgt] = mono_add(acc.get(tgt, ZERO), mono_mul(pi[z], m))
+        elif moved.isdisjoint(Q[u]):
+            acc = Q[u]
+        else:
+            acc = {}
+            for v, m in Q[u].items():
                 tgt = parent[v]
-                if tgt == node:
-                    continue
-                acc[tgt] = mono_add(acc.get(tgt, ZERO), mono_mul(pi[z], m))
-    for t in decomp.transient:
-        acc = agg[t]
-        for v, m in Q[t].items():
-            tgt = parent[v]
-            if tgt == t:
-                continue
-            acc[tgt] = mono_add(acc.get(tgt, ZERO), m)
+                acc[tgt] = mono_add(acc.get(tgt, ZERO), m)
+        agg[u] = acc
 
     return HierarchyLevel(
         index=previous.index + 1,
@@ -217,28 +287,31 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
 
 def analyze(chain: PerturbedChain) -> LimitModel:
     """Run the aggregation ladder to termination and assemble mu, A, M, N."""
-    exps = {m.exp for m in chain.entries.values()}
-    # every exponent e becomes the int e * D, exact since D is a multiple of
-    # every denominator
-    D = math.lcm(*(e.denominator for e in exps))
-    ticks = {e: e.numerator * (D // e.denominator) for e in exps}
-    as_fraction = {INF: INF}
-
-    def frac(t):
-        """The Fraction t/D, memoized over the few distinct exponents."""
-        f = as_fraction.get(t)
-        if f is None:
-            f = as_fraction[t] = Fraction(t, D)
-        return f
+    # exponents are keyed by (numerator, denominator): hashing a Fraction is
+    # far slower than hashing two ints
+    keys = [(m.exp.numerator, m.exp.denominator) for m in chain.entries.values()]
+    distinct = set(keys)
+    # every exponent p/q becomes the int p * (D / q), exact since D is a
+    # multiple of every denominator
+    D = math.lcm(*(q for _, q in distinct))
+    ticks = {(p, q): p * (D // q) for p, q in distinct}
+    publish = _Publisher(D)
+    frac = publish.fraction
 
     def fmt(t) -> str:
         return format_exponent(frac(t))
 
-    base = _base_level(chain, ticks)
+    # M[i, s] is the limit of the product of the measures of the classes that
+    # state s sits in on its way up to class i, level 1 first; one-node
+    # classes have measure ONE and leave the product alone
+    weight_coeff = dict.fromkeys(chain.states, 1.0)
+    weight_exp = dict.fromkeys(chain.states, 0)
+
+    base = _base_level(chain, [ticks[k] for k in keys])
     levels = [base]
     current = base
     alphas: list[int] = []
-    guard = chain.n_states * max(1, len(exps)) + 1
+    guard = chain.n_states * max(1, len(distinct)) + 1
     terminal = None
     for _ in range(guard):
         alpha = next_threshold(current)
@@ -253,6 +326,12 @@ def analyze(chain: PerturbedChain) -> LimitModel:
         alphas.append(alpha)
         current = build_level(current, alpha, chain)
         levels.append(current)
+        for meas in current.measures.values():
+            if len(meas) > 1:
+                for child, m in meas.items():
+                    for s in child:
+                        weight_coeff[s] *= m.coeff
+                        weight_exp[s] += m.exp
     if terminal is None:
         raise InternalError(
             f"aggregation did not terminate within the iteration guard of {guard} levels "
@@ -295,17 +374,14 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     M = np.zeros((nclasses, n))
     for i, node in enumerate(classes):
         for s in node:
-            factor = ONE
-            child: Node = (s,)
-            for lev in levels[1:]:
-                up = lev.parent[child]
-                meas = lev.measures.get(up)
-                if meas is not None:
-                    factor = mono_mul(factor, meas[child])
-                child = up
-            M[i, chain.index[s]] = mono_limit(factor)
+            if weight_exp[s] == 0:
+                M[i, chain.index[s]] = weight_coeff[s]
 
-    _to_fractions(levels, frac)
+    for level in levels:
+        if level.alpha is not None:
+            level.alpha = frac(level.alpha)
+        level.measures = _PublicTable(level.measures, publish)
+        level.aggregated = _PublicTable(level.aggregated, publish)
 
     return LimitModel(
         chain=chain,
@@ -325,25 +401,6 @@ def averaging_period(levels: list[HierarchyLevel]) -> int:
     exponent-0 arcs only, and it is the same class with the same period in
     the sub-unit skeleton (arcs below exponent 1, surviving diagonals)."""
     return math.prod(levels[1].period.values()) if len(levels) > 1 else 1
-
-
-def _to_fractions(levels: list[HierarchyLevel], frac) -> None:
-    """Give levels built on int exponents their public Fraction exponents,
-    making one public monomial per distinct (coeff, exp) value."""
-    public: dict[tuple, Monomial] = {}
-    for level in levels:
-        if level.alpha is not None:
-            level.alpha = frac(level.alpha)
-        for table in (level.measures, level.aggregated):
-            for node, row in table.items():
-                out = {}
-                for v, m in row.items():
-                    key = (m.coeff, m.exp)
-                    p = public.get(key)
-                    if p is None:
-                        p = public[key] = Monomial(m.coeff, frac(m.exp))
-                    out[v] = p
-                table[node] = out
 
 
 def _node_name(node: Node) -> str:

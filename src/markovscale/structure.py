@@ -35,9 +35,11 @@ class ClassDecomposition:
     period: dict[tuple, int]
 
 
-def _sccs(nodes, succ_map):
-    """Iterative Tarjan; returns SCCs as lists (reverse topological order)."""
-    index: dict = {}
+def _sccs(nodes, succ_map, finished=()):
+    """Iterative Tarjan; returns SCCs as lists (reverse topological order).
+    Nodes in `finished` already form components of their own and are passed
+    over, which is sound for nodes that reach nothing else (sinks)."""
+    index: dict = dict.fromkeys(finished, -1)
     low: dict = {}
     onstack: dict = {}
     stack: list = []
@@ -108,22 +110,30 @@ def _class_period(members, succ_map):
 
 def classify(support: dict) -> ClassDecomposition:
     """Split a support graph (adjacency with explicit self-loops) into closed
-    recurrence classes and transient nodes."""
-    nodes = list(support)
-    pos = {u: i for i, u in enumerate(nodes)}
-    succ = {u: set(vs) for u, vs in support.items()}
-    comps = _sccs(nodes, succ)
-
+    recurrence classes and transient nodes.  A node whose only successor is
+    itself is a finished one-node class; Tarjan runs on the other nodes."""
+    pos = {u: i for i, u in enumerate(support)}
     recurrent = []
     transient = []
     period = {}
-    for comp in comps:
+    sinks = []
+    rest = []
+    for u, vs in support.items():
+        if len(vs) == 1 and u in vs:
+            sinks.append(u)
+            cls = (u,)
+            recurrent.append(cls)
+            period[cls] = 1
+        else:
+            rest.append(u)
+
+    for comp in _sccs(rest, support, sinks):
         cset = set(comp)
-        closed = all(v in cset for u in comp for v in succ.get(u, ()))
+        closed = all(v in cset for u in comp for v in support.get(u, ()))
         if closed:
             cls = tuple(sorted(comp, key=pos.__getitem__))
             recurrent.append(cls)
-            period[cls] = _class_period(list(cls), succ)
+            period[cls] = _class_period(list(cls), support)
         else:
             transient.extend(comp)
     recurrent.sort(key=lambda cls: pos[cls[0]])
@@ -172,11 +182,14 @@ def invariant_measure(matrix: dict, cls) -> dict:
     every member but the first and back-substituting
     pi_k = sum_i pi_i w_ik / s_k (subtraction-free; exact exponents).
 
-    The mono_add-fold of the returned values is (1, 0).
+    The mono_add-fold of the returned values is (1, 0); a one-node class
+    gets {u: ONE} without elimination.
     """
     members = list(cls)
     if not members:
         raise InternalError("empty class")
+    if len(members) == 1:
+        return {members[0]: ONE}
     mset = set(members)
     rows = {u: {v: m for v, m in matrix.get(u, {}).items() if v in mset} for u in members}
     pi = {members[0]: ONE}

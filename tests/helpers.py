@@ -6,8 +6,17 @@ from pathlib import Path
 
 import numpy as np
 
-from markovscale import ONE, ZERO, HierarchyLevel, chain_from_entries, monomial
-from markovscale.asymptotics import mono_add, mono_div, mono_eval, mono_mul, mono_sum
+from markovscale import (
+    ONE,
+    ZERO,
+    HierarchyLevel,
+    LimitModel,
+    Monomial,
+    chain_from_entries,
+    monomial,
+    structure,
+)
+from markovscale.asymptotics import mono_add, mono_div, mono_eval, mono_limit, mono_mul, mono_sum
 from markovscale.chain_model import is_exactly_leaving
 from markovscale.hierarchy import build_level, next_threshold
 from markovscale.structure import classify
@@ -160,6 +169,27 @@ def random_periodic_chain(rng: np.random.Generator):
             entries[(src, v)] = monomial(float(c), e)
     order = [str(s) for s in rng.permutation(states)]
     return chain_from_entries(order, entries)
+
+
+def random_nested_chain(rng: np.random.Generator, depth: int = 3):
+    """2**depth states in nested pairs: at level k the two halves of every
+    block of 2**k states are joined both ways by one arc of exponent
+    (k - 1) / depth.  Every state climbs through `depth` classes of two
+    nodes, each with an exponent-0 measure, so its column of M is a product
+    of `depth` coefficients."""
+    n = 2**depth
+    states = [f"n{i}" for i in range(n)]
+    entries = {}
+    for k in range(1, depth + 1):
+        size = 2**k
+        for start in range(0, n, size):
+            left = states[start:start + size // 2]
+            right = states[start + size // 2:start + size]
+            for a, b in ((left, right), (right, left)):
+                src, dst = str(rng.choice(a)), str(rng.choice(b))
+                c = float(rng.uniform(0.1, 0.45))
+                entries[(src, dst)] = monomial(c, Fraction(k - 1, depth))
+    return chain_from_entries(states, entries)
 
 
 def sub_unit_skeleton(chain) -> dict:
@@ -402,3 +432,164 @@ def cesaro_payoff(Q: np.ndarray, g: np.ndarray, offset: int, count: int) -> np.n
         acc += P @ g
         P = P @ Q
     return acc / count
+
+
+# ------------------------------------------------- frozen reference ladder
+#
+# A copy of the aggregation ladder as it stood before levels shared rows,
+# kept as a slow reference for `analyze`: every level restricts and rebuilds
+# every row, every class (one-node classes too) goes through the elimination
+# kernel and its normalization, M is a walk over all levels for every state,
+# and the levels are turned to Fraction exponents eagerly.
+
+
+def _frozen_level_support(aggregated: dict, nodes: list, alpha) -> dict:
+    support = {}
+    for u in nodes:
+        row = aggregated[u]
+        emin = min((m.exp for m in row.values()), default=math.inf)
+        if emin <= alpha:
+            succ = {v for v, m in row.items() if m.exp == emin}
+            if not is_exactly_leaving(row):
+                succ.add(u)
+        else:
+            succ = {u}
+        support[u] = succ
+    return support
+
+
+def _frozen_classify(support: dict):
+    nodes = list(support)
+    pos = {u: i for i, u in enumerate(nodes)}
+    succ = {u: set(vs) for u, vs in support.items()}
+    recurrent, transient, period = [], [], {}
+    for comp in structure._sccs(nodes, succ):
+        cset = set(comp)
+        if all(v in cset for u in comp for v in succ.get(u, ())):
+            cls = tuple(sorted(comp, key=pos.__getitem__))
+            recurrent.append(cls)
+            period[cls] = structure._class_period(list(cls), succ)
+        else:
+            transient.extend(comp)
+    recurrent.sort(key=lambda cls: pos[cls[0]])
+    transient.sort(key=pos.__getitem__)
+    return structure.ClassDecomposition(recurrent=recurrent, transient=transient, period=period)
+
+
+def _frozen_invariant_measure(matrix: dict, cls) -> dict:
+    members = list(cls)
+    mset = set(members)
+    rows = {u: {v: m for v, m in matrix.get(u, {}).items() if v in mset} for u in members}
+    pi = {members[0]: ONE}
+    for k, _, pred, s_k in reversed(structure._eliminate(rows, members[1:])):
+        pi[k] = mono_div(mono_sum(mono_mul(pi[i], w) for i, w in pred.items()), s_k)
+    total = mono_sum(pi.values())
+    return {u: mono_div(pi[u], total) for u in members}
+
+
+def _frozen_build_level(previous, alpha, chain):
+    Q = previous.aggregated
+    state_order = chain.index
+    decomp = _frozen_classify(_frozen_level_support(Q, previous.nodes, alpha))
+    restricted = {u: {v: m for v, m in Q[u].items() if m.exp <= alpha} for u in previous.nodes}
+    parent, new_nodes, recurrent_nodes, transient_nodes = {}, [], [], []
+    period, measures = {}, {}
+    for cls in decomp.recurrent:
+        node = tuple(sorted((s for member in cls for s in member), key=state_order.__getitem__))
+        for member in cls:
+            parent[member] = node
+        new_nodes.append(node)
+        recurrent_nodes.append(node)
+        period[node] = decomp.period[cls]
+        measures[node] = _frozen_invariant_measure(restricted, cls)
+    for t in decomp.transient:
+        parent[t] = t
+        new_nodes.append(t)
+        transient_nodes.append(t)
+    new_nodes.sort(key=lambda n: state_order[n[0]])
+    agg = {n: {} for n in new_nodes}
+    for cls in decomp.recurrent:
+        node = parent[cls[0]]
+        pi, acc = measures[node], agg[node]
+        for z in cls:
+            for v, m in Q[z].items():
+                tgt = parent[v]
+                if tgt != node:
+                    acc[tgt] = mono_add(acc.get(tgt, ZERO), mono_mul(pi[z], m))
+    for t in decomp.transient:
+        acc = agg[t]
+        for v, m in Q[t].items():
+            tgt = parent[v]
+            if tgt != t:
+                acc[tgt] = mono_add(acc.get(tgt, ZERO), m)
+    return HierarchyLevel(
+        index=previous.index + 1, alpha=alpha, nodes=new_nodes, recurrent_nodes=recurrent_nodes,
+        transient_nodes=transient_nodes, period=period, measures=measures, aggregated=agg,
+        parent=parent,
+    )
+
+
+def frozen_analyze(chain) -> LimitModel:
+    """The reference ladder on int exponents, assembled into a LimitModel
+    with the same mu, A, M, N and Fraction-exponent levels as `analyze`."""
+    exps = {m.exp for m in chain.entries.values()}
+    D = math.lcm(*(e.denominator for e in exps))
+    ticks = {e: e.numerator * (D // e.denominator) for e in exps}
+    nodes = [(s,) for s in chain.states]
+    agg = {n: {} for n in nodes}
+    for (src, dst), m in chain.entries.items():
+        agg[(src,)][(dst,)] = Monomial(m.coeff, ticks[m.exp])
+    level = HierarchyLevel(
+        index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes), transient_nodes=[],
+        period={}, measures={}, aggregated=agg, parent={},
+    )
+    levels, alphas = [level], []
+    while True:
+        alpha = next_threshold(level)
+        if alpha >= D:
+            break
+        alphas.append(alpha)
+        level = _frozen_build_level(level, alpha, chain)
+        levels.append(level)
+    classes = list(level.recurrent_nodes)
+    n, nc = chain.n_states, len(classes)
+    decomp = structure.ClassDecomposition(
+        recurrent=[(node,) for node in classes], transient=list(level.transient_nodes), period={},
+    )
+    law = structure.entrance_law(level.aggregated, decomp)
+    mu = np.zeros((n, nc))
+    for node in level.nodes:
+        for s in node:
+            mu[chain.index[s]] = law[node]
+    A = np.zeros((nc, nc))
+    for i, node in enumerate(classes):
+        for v, m in level.aggregated[node].items():
+            if m.exp == D:
+                A[i] += m.coeff * law[v]
+        A[i, i] = 0.0
+        A[i, i] = -A[i].sum()
+    M = np.zeros((nc, n))
+    for i, node in enumerate(classes):
+        for s in node:
+            factor, child = ONE, (s,)
+            for lev in levels[1:]:
+                up = lev.parent[child]
+                meas = lev.measures.get(up)
+                if meas is not None:
+                    factor = mono_mul(factor, meas[child])
+                child = up
+            M[i, chain.index[s]] = mono_limit(factor)
+    def frac(t):
+        return t if t == math.inf else Fraction(t, D)
+
+    for lev in levels:
+        if lev.alpha is not None:
+            lev.alpha = frac(lev.alpha)
+        for table in (lev.measures, lev.aggregated):
+            for node, row in table.items():
+                table[node] = {v: Monomial(m.coeff, frac(m.exp)) for v, m in row.items()}
+    return LimitModel(
+        chain=chain, levels=levels, classes=classes, mu=mu, A=A, M=M,
+        N=math.prod(levels[1].period.values()) if len(levels) > 1 else 1,
+        alphas=[frac(a) for a in alphas] + [frac(alpha)],
+    )

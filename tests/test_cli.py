@@ -386,6 +386,17 @@ def test_text_output_shows_the_labels_and_numbers_of_the_json_output(capsys, tmp
 # -------------------------------------------------------- the entry point
 
 
+def test_an_oversized_exponent_is_an_input_error(capsys, tmp_path):
+    chain = tmp_path / "big.json"
+    chain.write_text(
+        '{"states": ["1", "2"], "transitions": '
+        '[{"from": "1", "to": "2", "coeff": 0.5, "exp": "1%s"}]}' % ("0" * 400)
+    )
+    rc, out, err = run(capsys, "analyze", str(chain))
+    assert (rc, out) == (1, "")
+    assert err == "error: transition '1' -> '2': exponent is too large for a float\n"
+
+
 def test_entry_point_reports_an_oversized_coefficient_as_an_input_error(tmp_path):
     chain = tmp_path / "big.json"
     chain.write_text(

@@ -160,10 +160,25 @@ def test_payoff_vector_accepts_both_forms(twostate):
     chain = twostate.chain
     np.testing.assert_array_equal(payoff_vector(chain, {"1": 0.2, "2": 0.8}), [0.2, 0.8])
     np.testing.assert_array_equal(payoff_vector(chain, [0.2, 0.8]), [0.2, 0.8])
-    # numpy scalars are numbers too
+    # numpy arrays and numpy scalars are numbers too
     np.testing.assert_array_equal(
         payoff_vector(chain, {"1": np.float32(0.25), "2": np.int64(1)}), [0.25, 1.0]
     )
+    np.testing.assert_array_equal(payoff_vector(chain, np.array([1, 2])), [1.0, 2.0])
+    np.testing.assert_array_equal(payoff_vector(chain, (np.float32(0.5), np.int64(3))), [0.5, 3.0])
+
+
+def test_limit_payoff_matches_the_total_occupation_matrix():
+    rng = np.random.default_rng(41)
+    names = ["eightstate.json", "eightstate_primes.json", "funnel_delayed.json",
+             "funnel_instant.json", "twostate_half.json", "twostate_heavy.json",
+             "twostate_swap.json", "twostate_unit.json"]
+    for name in names:
+        model = analyze(load_chain(fixture(name)))
+        T = occupation(model, total=True).matrix
+        for _ in range(5):
+            g = rng.uniform(-1.0, 1.0, size=model.chain.n_states)
+            np.testing.assert_allclose(limit_payoff(model, g), T @ g, rtol=1e-12, atol=0)
 
 
 def test_payoff_vector_validation(twostate):
@@ -176,6 +191,14 @@ def test_payoff_vector_validation(twostate):
         payoff_vector(chain, [0.2, 0.8, 0.1])
     with pytest.raises(InputError, match="non-finite"):
         payoff_vector(chain, [0.2, math.inf])
+    # sequence entries are read like mapping values: numbers a float can hold
+    for g, problem in [
+        (["0.5", 1.0], "entry 0 must be a number"),
+        ([0.5, True], "entry 1 must be a number"),
+        ([10**401, 0], "entry 0 is too large for a float"),
+    ]:
+        with pytest.raises(InputError, match=problem):
+            payoff_vector(chain, g)
 
 
 # ---------------------------------------------------- absorbing closed form

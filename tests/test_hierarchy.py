@@ -27,7 +27,9 @@ from helpers import (
     COPRIME_POOL,
     averaging_period,
     fixture,
+    frozen_analyze,
     random_chain,
+    random_nested_chain,
     random_periodic_chain,
     random_trap_chain,
     reference_ladder,
@@ -241,6 +243,62 @@ def test_analyze_matches_a_ladder_built_on_fraction_exponents():
         deep_coprime += len(levels) >= 3 and math.lcm(*dens) >= 77
     # chains with a large common denominator climb several levels
     assert deep_coprime >= 5
+
+
+CHAIN_FIXTURES = ("eightstate.json", "eightstate_primes.json", "funnel_delayed.json",
+                  "funnel_instant.json", "twostate_half.json", "twostate_heavy.json",
+                  "twostate_swap.json", "twostate_unit.json")
+
+
+def test_analyze_matches_the_frozen_reference_ladder():
+    # the reference restricts and rebuilds every row at every level and walks
+    # every level for every state of M; analyze shares the rows a level
+    # leaves alone and multiplies M level by level, so it must agree bit for
+    # bit
+    rng = np.random.default_rng(61)
+    chains = [load_chain(fixture(name)) for name in CHAIN_FIXTURES]
+    chains += [random_chain(rng, max_states=7) for _ in range(400)]
+    chains += [random_chain(rng, max_states=7, pool=COPRIME_POOL) for _ in range(300)]
+    chains += [random_trap_chain(rng) for _ in range(150)]
+    chains += [random_periodic_chain(rng) for _ in range(300)]
+    # M columns that are products of three or four measure coefficients
+    chains += [random_nested_chain(rng, depth) for depth in (3, 4) for _ in range(25)]
+    kept = remapped = 0
+    for chain in chains:
+        model, ref = analyze(chain), frozen_analyze(chain)
+        assert json.dumps(report(model)) == json.dumps(report(ref))
+        for got, want in ((model.mu, ref.mu), (model.A, ref.A), (model.M, ref.M)):
+            assert np.array_equal(got, want)
+        for lev, prev in zip(model.levels[2:], model.levels[1:]):
+            stayed = [t for t in lev.transient_nodes if t in prev.transient_nodes]
+            kept += bool(stayed)
+            remapped += any(lev.parent[v] != v for t in stayed for v in prev.aggregated[t])
+    # transient nodes carried over two or more levels, some of them with a
+    # target that merged on the way
+    assert kept >= 200 and remapped >= 50
+
+
+def test_levels_read_in_every_way_have_fraction_exponents():
+    model = analyze(load_chain(fixture("eightstate_primes.json")))
+    ref = frozen_analyze(model.chain)
+
+    def fractions(row):
+        return all(isinstance(m.exp, Fraction) for m in row.values())
+
+    for lev, want in zip(model.levels, ref.levels):
+        assert lev.alpha is None or isinstance(lev.alpha, Fraction)
+        for table, plain in ((lev.measures, want.measures), (lev.aggregated, want.aggregated)):
+            assert all(fractions(table[node]) for node in plain)  # item access
+            assert all(fractions(table.get(node)) for node in plain)
+            assert all(fractions(row) for _, row in table.items())
+            assert all(fractions(row) for row in table.values())
+            assert all(fractions(table[node]) for node in table)  # iteration
+            assert list(table) == list(plain) and len(table) == len(plain)
+            assert table == plain and plain == table
+    for lev in report(model)["levels"]:
+        for meas in lev["measures"].values():
+            for m in meas.values():
+                assert isinstance(Fraction(m["exp"]), Fraction)
 
 
 def test_the_ladder_runs_on_int_exponents(monkeypatch):
