@@ -54,22 +54,28 @@ def exp0_mass(row: dict) -> float:
     return sum(m.coeff for m in row.values() if m.exp == 0)
 
 
-def is_exactly_leaving(row: dict) -> bool:
+def leaves_exactly(mass0: float) -> bool:
     """The surviving-diagonal rule: a row of off-diagonal monomials leaves
     exactly (its implied diagonal vanishes in the limit) when its exponent-0
-    coefficients sum to 1 within EXACT_LEAVING_TOL.  This is the one float
+    mass (`exp0_mass`) is 1 within EXACT_LEAVING_TOL.  This is the one float
     tolerance that any structural decision of the package depends on."""
-    return abs(exp0_mass(row) - 1.0) <= EXACT_LEAVING_TOL
+    return abs(mass0 - 1.0) <= EXACT_LEAVING_TOL
 
 
-def _row_lambda_max(state: str, row: dict[str, Monomial], cap: float) -> float:
+def is_exactly_leaving(row: dict) -> bool:
+    """`leaves_exactly` applied to the row's exponent-0 mass."""
+    return leaves_exactly(exp0_mass(row))
+
+
+def _row_lambda_max(state: str, row: dict[str, Monomial], mass0: float, cap: float) -> float:
     """Largest lam in (0, 1] keeping this row's implied diagonal nonnegative,
-    or `cap` if the diagonal is still nonnegative there.  The diagonal does
-    not increase with lam, so such a row cannot bring a running minimum below
-    `cap`; rows that can are bisected on all of (0, 1]."""
+    or `cap` if the diagonal is still nonnegative there; `mass0` is the row's
+    `exp0_mass`.  The diagonal does not increase with lam, so such a row
+    cannot bring a running minimum below `cap`; rows that can are bisected on
+    all of (0, 1]."""
     if not row:
         return 1.0
-    if is_exactly_leaving(row):
+    if leaves_exactly(mass0):
         if any(m.exp > 0 for m in row.values()):
             raise ChainFormatError(
                 f"row {state!r}: exponent-0 coefficients already sum to 1, "
@@ -148,7 +154,7 @@ def chain_from_entries(
             raise ChainFormatError(
                 f"row {s!r}: exponent-0 coefficients sum to {mass0!r} > 1"
             )
-        lambda_max = min(lambda_max, _row_lambda_max(s, rows[s], lambda_max))
+        lambda_max = min(lambda_max, _row_lambda_max(s, rows[s], mass0, lambda_max))
 
     flat = {(s, d): m for s in states for d, m in rows[s].items()}
     return PerturbedChain(states=states, entries=flat, lambda_max=lambda_max)
@@ -221,6 +227,9 @@ def load_chain(source) -> PerturbedChain:
         if missing:
             raise ChainFormatError(f"{where}: missing keys {sorted(missing)}")
         src, dst = tr["from"], tr["to"]
+        if not isinstance(src, str) or not isinstance(dst, str):
+            key, name = ("to", dst) if isinstance(src, str) else ("from", src)
+            raise ChainFormatError(f"{where}: '{key}' must be a state name, got {name!r}")
         coeff = read_number(tr["coeff"], "transitions[%d]: 'coeff'", i)
         if coeff <= 0:
             raise ChainFormatError(f"{where}: 'coeff' must be > 0, got {tr['coeff']!r}")

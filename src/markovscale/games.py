@@ -10,17 +10,18 @@ vector, which the aggregation machinery then evaluates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import ZERO, Monomial, mono_add, mono_limit, mono_mul, monomial, parse_exponent
+from .asymptotics import INF, Exponent, Monomial, monomial, parse_exponent
 from .chain_model import (
     PerturbedChain,
     chain_from_entries,
-    exp0_mass,
-    is_exactly_leaving,
+    leaves_exactly,
     read_json_file,
     read_number,
 )
@@ -51,6 +52,9 @@ def _validate_actions(states, spec, who) -> dict[str, tuple[str, ...]]:
     for s, acts in spec.items():
         if not isinstance(acts, list) or not acts:
             raise ChainFormatError(f"{who}[{s!r}] must be a nonempty list")
+        for i, a in enumerate(acts):
+            if not isinstance(a, str):
+                raise ChainFormatError(f"{who}[{s!r}][{i}] must be an action name, got {a!r}")
         if len(set(acts)) != len(acts):
             raise ChainFormatError(f"{who}[{s!r}] has duplicate actions")
         out[s] = tuple(acts)
@@ -80,7 +84,12 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
         raise ChainFormatError(f"game document is missing keys: {sorted(missing)}")
 
     states = doc["states"]
-    if not isinstance(states, list) or not states or len(set(states)) != len(states):
+    if not isinstance(states, list) or not states:
+        raise ChainFormatError("'states' must be a nonempty list of distinct names")
+    for i, s in enumerate(states):
+        if not isinstance(s, str) or not s:
+            raise ChainFormatError(f"'states'[{i}] must be a nonempty name, got {s!r}")
+    if len(set(states)) != len(states):
         raise ChainFormatError("'states' must be a nonempty list of distinct names")
     states = tuple(states)
     known = set(states)
@@ -161,9 +170,10 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
 
 
 def _load_strategy(spec, actions, who) -> Strategy:
-    if not isinstance(spec, dict) or set(spec) != set(actions):
+    if not isinstance(spec, dict):
         raise ChainFormatError(f"{who} must map every state")
     out: Strategy = {}
+    parsed: dict[str, Exponent] = {}  # a strategy repeats a few exponent texts
     for s, mix in spec.items():
         if not isinstance(mix, dict) or not mix:
             raise ChainFormatError(f"{who}[{s!r}] must be a nonempty map action -> monomial")
@@ -174,8 +184,12 @@ def _load_strategy(spec, actions, who) -> Strategy:
                     f"{who}[{s!r}][{a!r}] must be an object with 'coeff' and 'exp'"
                 )
             coeff = read_number(doc["coeff"], "%s[%r][%r]: 'coeff'", who, s, a)
+            text = doc["exp"]
             try:
-                row[a] = monomial(coeff, parse_exponent(doc["exp"]))
+                exp = parsed.get(text) if isinstance(text, str) else None
+                if exp is None:
+                    exp = parsed[text] = parse_exponent(text)
+                row[a] = monomial(coeff, exp)
             except ValueError as exc:
                 raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
         out[s] = row
@@ -183,21 +197,62 @@ def _load_strategy(spec, actions, who) -> Strategy:
     return out
 
 
-def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> None:
-    """A regular strategy family must put exponent-0 mass summing to 1 on each
-    state (the limit mixture), with all weights positive and exponents >= 0."""
+def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> dict[str, list]:
+    """A regular strategy family maps every state to weights on that state's
+    actions.  Every weight is positive with a finite rational exponent >= 0,
+    and the exponent-0 weights sum to 1 (the limit mixture).
+
+    Checked in one pass over the weights, which returns each state's weights
+    in row order as `(action, index of the action in actions[s], coeff,
+    (p, q))`, where p/q is the exponent."""
+    if strategy.keys() != actions.keys():
+        raise ChainFormatError(f"{who} must map every state")
+    out = {}
     for s, row in strategy.items():
+        acts = actions[s]
+        weights = []
+        mass0 = 0  # summed in row order, as exp0_mass does
         for a, m in row.items():
-            if a not in actions[s]:
-                raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}")
-            if m.is_zero() or m.coeff <= 0 or m.exp < 0:
+            try:
+                k = acts.index(a)
+            except ValueError:
+                raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}") from None
+            e = m.exp
+            if not m.coeff > 0:
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
                 )
-        if not is_exactly_leaving(row):
-            raise ChainFormatError(
-                f"{who}[{s!r}]: exponent-0 weights sum to {exp0_mass(row)!r}, not 1"
-            )
+            if not isinstance(e, (int, Fraction)):
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must have a finite rational exponent, got {e!r}"
+                )
+            p, q = e.numerator, e.denominator
+            if p < 0:
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
+                )
+            if p == 0:
+                mass0 += m.coeff
+            weights.append((a, k, m.coeff, (p, q)))
+        if not leaves_exactly(mass0):
+            raise ChainFormatError(f"{who}[{s!r}]: exponent-0 weights sum to {mass0!r}, not 1")
+        out[s] = weights
+    return out
+
+
+_ZERO_TICKS = (0.0, INF)
+
+
+def _tick_add(a: tuple, c: float, e: int) -> tuple:
+    """`mono_add(a, Monomial(c, e))` on `(coeff, tick)` pairs."""
+    ac, ae = a
+    if ae < e:
+        return a
+    if e < ae:
+        return c, e
+    if ac == 0.0:
+        return _ZERO_TICKS
+    return ac + c, ae
 
 
 def compile_game(game: StochasticGame, x: Strategy, y: Strategy) -> tuple[PerturbedChain, np.ndarray]:
@@ -207,33 +262,45 @@ def compile_game(game: StochasticGame, x: Strategy, y: Strategy) -> tuple[Pertur
     Each off-diagonal chain entry is the leading order of
     sum_{i,j} x(i) y(j) q(dest | s, i, j); self-transitions are dropped (the
     implied diagonal picks them up).  The payoff vector is the limit of the
-    bilinear form sum_{i,j} x(i) y(j) g(s, i, j).
+    bilinear form sum_{i,j} x(i) y(j) g(s, i, j).  Both strategy families
+    are checked by `validate_strategy`.
     """
-    validate_strategy(x, game.actions1, "strategy1")
-    validate_strategy(y, game.actions2, "strategy2")
+    xw = validate_strategy(x, game.actions1, "strategy1")
+    yw = validate_strategy(y, game.actions2, "strategy2")
+    # exponents are summed as int ticks of 1/D, D the lcm of their denominators
+    exps = {e for w in (xw, yw) for row in w.values() for _, _, _, e in row}
+    D = math.lcm(*(q for _, q in exps))
+    ticks = {(p, q): p * (D // q) for p, q in exps}
     entries: dict[tuple[str, str], Monomial] = {}
-    gvec = np.zeros(len(game.states))
-    i1 = {s: {a: k for k, a in enumerate(game.actions1[s])} for s in game.states}
-    i2 = {s: {a: k for k, a in enumerate(game.actions2[s])} for s in game.states}
-    for si, s in enumerate(game.states):
-        acc: dict[str, Monomial] = {}
-        gacc = ZERO
-        for a1, xm in x[s].items():
-            for a2, ym in y[s].items():
-                w = mono_mul(xm, ym)
-                gval = float(game.payoff[s][i1[s][a1], i2[s][a2]])
+    fracs: dict[int, Fraction] = {}
+    gvec = []
+    for s in game.states:
+        pay = game.payoff[s].tolist()
+        moves = game.transition[s]
+        yrow = [(a2, k2, yc, ticks[e]) for a2, k2, yc, e in yw[s]]
+        acc: dict[str, tuple] = {}
+        gacc = _ZERO_TICKS
+        for a1, k1, xc, e in xw[s]:
+            xe, prow, arow = ticks[e], pay[k1], moves[a1]
+            for a2, k2, yc, ye in yrow:
+                wc, we = xc * yc, xe + ye
+                gval = prow[k2]
                 if gval != 0.0:
-                    gacc = mono_add(gacc, Monomial(w.coeff * gval, w.exp))
-                for dest, p in game.transition[s][a1][a2].items():
+                    gacc = _tick_add(gacc, wc * gval, we)
+                for dest, p in arow[a2].items():
                     if dest == s or p == 0.0:
                         continue
-                    acc[dest] = mono_add(acc.get(dest, ZERO), Monomial(w.coeff * p, w.exp))
-        for dest, m in acc.items():
-            if not m.is_zero():
-                entries[(s, dest)] = m
-        gvec[si] = mono_limit(gacc)
+                    acc[dest] = _tick_add(acc.get(dest, _ZERO_TICKS), wc * p, we)
+        for dest, (c, t) in acc.items():
+            if c != 0.0:
+                exp = fracs.get(t)
+                if exp is None:
+                    exp = fracs[t] = Fraction(t, D)
+                entries[(s, dest)] = Monomial(c, exp)
+        gc, ge = gacc
+        gvec.append(gc if ge == 0 else 0.0)
     chain = chain_from_entries(game.states, entries)
-    return chain, gvec
+    return chain, np.array(gvec)
 
 
 def limit_game_payoff(game: StochasticGame, x: Strategy, y: Strategy) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 from markovscale import (
     ONE,
     ZERO,
+    ChainFormatError,
     HierarchyLevel,
     LimitModel,
     Monomial,
@@ -16,8 +17,17 @@ from markovscale import (
     monomial,
     structure,
 )
-from markovscale.asymptotics import mono_add, mono_div, mono_eval, mono_limit, mono_mul, mono_sum
-from markovscale.chain_model import is_exactly_leaving
+from markovscale.asymptotics import (
+    mono_add,
+    mono_div,
+    mono_eval,
+    mono_limit,
+    mono_mul,
+    mono_sum,
+    parse_exponent,
+)
+from markovscale.chain_model import exp0_mass, is_exactly_leaving, read_number
+from markovscale.games import load_game
 from markovscale.hierarchy import build_level, next_threshold
 from markovscale.structure import classify
 
@@ -593,3 +603,141 @@ def frozen_analyze(chain) -> LimitModel:
         N=math.prod(levels[1].period.values()) if len(levels) > 1 else 1,
         alphas=[frac(a) for a in alphas] + [frac(alpha)],
     )
+
+
+# ------------------------------------------------------ frozen game front end
+# kept as a slow reference for `games.compile_game`: the strategy loader,
+# validation and compiler with monomial products and sums on Fraction
+# exponents, each strategy validated again at compile time.
+
+
+def _frozen_load_strategy(spec, actions, who):
+    if not isinstance(spec, dict) or set(spec) != set(actions):
+        raise ChainFormatError(f"{who} must map every state")
+    out = {}
+    for s, mix in spec.items():
+        if not isinstance(mix, dict) or not mix:
+            raise ChainFormatError(f"{who}[{s!r}] must be a nonempty map action -> monomial")
+        row = {}
+        for a, doc in mix.items():
+            if not isinstance(doc, dict) or set(doc) != {"coeff", "exp"}:
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must be an object with 'coeff' and 'exp'"
+                )
+            coeff = read_number(doc["coeff"], "%s[%r][%r]: 'coeff'", who, s, a)
+            try:
+                row[a] = monomial(coeff, parse_exponent(doc["exp"]))
+            except ValueError as exc:
+                raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
+        out[s] = row
+    _frozen_validate_strategy(out, actions, who)
+    return out
+
+
+def _frozen_validate_strategy(strategy, actions, who="strategy"):
+    for s, row in strategy.items():
+        for a, m in row.items():
+            if a not in actions[s]:
+                raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}")
+            if m.is_zero() or m.coeff <= 0 or m.exp < 0:
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
+                )
+        if not is_exactly_leaving(row):
+            raise ChainFormatError(
+                f"{who}[{s!r}]: exponent-0 weights sum to {exp0_mass(row)!r}, not 1"
+            )
+
+
+def _frozen_compile(game, x, y):
+    _frozen_validate_strategy(x, game.actions1, "strategy1")
+    _frozen_validate_strategy(y, game.actions2, "strategy2")
+    entries = {}
+    gvec = np.zeros(len(game.states))
+    i1 = {s: {a: k for k, a in enumerate(game.actions1[s])} for s in game.states}
+    i2 = {s: {a: k for k, a in enumerate(game.actions2[s])} for s in game.states}
+    for si, s in enumerate(game.states):
+        acc = {}
+        gacc = ZERO
+        for a1, xm in x[s].items():
+            for a2, ym in y[s].items():
+                w = mono_mul(xm, ym)
+                gval = float(game.payoff[s][i1[s][a1], i2[s][a2]])
+                if gval != 0.0:
+                    gacc = mono_add(gacc, Monomial(w.coeff * gval, w.exp))
+                for dest, p in game.transition[s][a1][a2].items():
+                    if dest == s or p == 0.0:
+                        continue
+                    acc[dest] = mono_add(acc.get(dest, ZERO), Monomial(w.coeff * p, w.exp))
+        for dest, m in acc.items():
+            if not m.is_zero():
+                entries[(s, dest)] = m
+        gvec[si] = mono_limit(gacc)
+    chain = chain_from_entries(game.states, entries)
+    return chain, gvec
+
+
+def frozen_compile_game(doc: dict):
+    """The chain and limit payoff vector of a game document, with the
+    strategies loaded and the game compiled by the frozen Fraction-exponent
+    front end (the game itself is read by `load_game`)."""
+    game, _, _ = load_game(doc)
+    x = _frozen_load_strategy(doc["strategy1"], game.actions1, "strategy1")
+    y = _frozen_load_strategy(doc["strategy2"], game.actions2, "strategy2")
+    return _frozen_compile(game, x, y)
+
+
+#: strategy exponents of the two players in `random_game_doc`: their
+#: denominators differ, so the lcm of a game's denominators exceeds their max
+GAME_POOLS = (
+    ("0", "1/2", "1/3", "1", "3/2"),
+    ("0", "1/5", "1/2", "2/3", "4/5"),
+)
+
+
+def random_game_doc(rng: np.random.Generator, max_states: int = 4) -> dict:
+    """A small valid game document.  Each player has 2-4 actions per state
+    and a strategy on a nonempty subset of them with one or two exponent-0
+    weights.  Distributions include self-moves and zero probabilities, about
+    a quarter of the payoffs are zero, and the players draw exponents from the
+    two `GAME_POOLS`, so many action pairs tie at the same product exponent."""
+    n = int(rng.integers(2, max_states + 1))
+    states = [f"s{i}" for i in range(n)]
+
+    def actions(prefix):
+        return {s: [f"{prefix}{k}" for k in range(int(rng.integers(2, 5)))] for s in states}
+
+    def distribution():
+        k = int(rng.integers(1, min(3, n) + 1))
+        dests = [str(d) for d in rng.choice(states, size=k, replace=False)]
+        w = rng.uniform(0.1, 1.0, size=k)
+        dist = {d: float(p) for d, p in zip(dests, w / w.sum())}
+        spare = [s for s in states if s not in dist]
+        if spare and rng.random() < 0.4:
+            dist[spare[int(rng.integers(len(spare)))]] = 0.0
+        return dist
+
+    def strategy(acts, pool):
+        out = {}
+        for s in states:
+            chosen = [str(a) for a in rng.permutation(acts[s])[: int(rng.integers(1, len(acts[s]) + 1))]]
+            n0 = int(rng.integers(1, min(2, len(chosen)) + 1))
+            w0 = rng.uniform(0.1, 1.0, size=n0)
+            w0 = w0 / w0.sum()
+            out[s] = {a: {"coeff": float(w0[i]), "exp": "0"} for i, a in enumerate(chosen[:n0])}
+            for a in chosen[n0:]:
+                out[s][a] = {"coeff": float(rng.uniform(0.05, 1.0)),
+                             "exp": pool[int(rng.integers(1, len(pool)))]}
+        return out
+
+    actions1, actions2 = actions("a"), actions("b")
+    payoff = {
+        s: [[0.0 if rng.random() < 0.25 else float(rng.random()) for _ in actions2[s]]
+            for _ in actions1[s]]
+        for s in states
+    }
+    transition = {s: {a1: {a2: distribution() for a2 in actions2[s]} for a1 in actions1[s]}
+                  for s in states}
+    return {"states": states, "actions1": actions1, "actions2": actions2, "payoff": payoff,
+            "transition": transition, "strategy1": strategy(actions1, GAME_POOLS[0]),
+            "strategy2": strategy(actions2, GAME_POOLS[1])}

@@ -126,6 +126,8 @@ def test_instantiated_rows_sum_to_one_across_the_lambda_range():
         two_state([arc("1", "2", 1.0, ["1"])]),
         two_state([arc("1", "2", 10**401, "1")]),  # too large for a float
         two_state([arc("1", "2", 0.5, "1" + "0" * 400)]),  # exponent too large for a float
+        two_state([arc(["1"], "2", 1.0, "1")]),  # an unhashable state name
+        two_state([arc("1", {"2": 1}, 1.0, "1")]),
     ],
 )
 def test_malformed_documents_are_rejected(doc):

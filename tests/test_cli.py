@@ -397,6 +397,33 @@ def test_an_oversized_exponent_is_an_input_error(capsys, tmp_path):
     assert err == "error: transition '1' -> '2': exponent is too large for a float\n"
 
 
+def _switch_with(mutate):
+    doc = json.load(open(SWITCH))
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("game-compile", _switch_with(lambda d: d["actions1"].update(s=[["stay"], "move"])),
+         "actions1['s'][0] must be an action name, got ['stay']"),
+        ("game-compile", _switch_with(lambda d: d.update(states=[["s"], "t"])),
+         "'states'[0] must be a nonempty name, got ['s']"),
+        ("game-compile", _switch_with(lambda d: d["actions2"].update(t=["L", {"R": 1}])),
+         "actions2['t'][1] must be an action name, got {'R': 1}"),
+        ("analyze", {"states": ["1", "2"],
+                     "transitions": [{"from": ["1"], "to": "2", "coeff": 1.0, "exp": "1"}]},
+         "transitions[0]: 'from' must be a state name, got ['1']"),
+    ],
+)
+def test_a_name_that_is_not_a_string_is_an_input_error(capsys, tmp_path, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, command, str(path))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_entry_point_reports_an_oversized_coefficient_as_an_input_error(tmp_path):
     chain = tmp_path / "big.json"
     chain.write_text(

@@ -1,17 +1,17 @@
 """Compiling two-player discounted games under fixed strategy families."""
 
-import copy
 import json
+import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fractions import Fraction
-
-from markovscale import ChainFormatError, analyze, limit_payoff, monomial
+from markovscale import ChainFormatError, Monomial, analyze, limit_payoff, monomial
 from markovscale.games import compile_game, limit_game_payoff, load_game
 
-from helpers import fixture
+from helpers import fixture, frozen_compile_game, random_game_doc
 
 
 def switch_doc():
@@ -129,11 +129,90 @@ def broken(mutate):
             lambda d: d["payoff"].update(s=[[0.2], [0.6, 0.8]]),
             r"payoff\['s'\] must be a list of 2 rows of 2 numbers",
         ),
+        (
+            lambda d: d["actions1"].update(s=[["stay"], "move"]),
+            r"actions1\['s'\]\[0\] must be an action name, got \['stay'\]",
+        ),
+        (
+            lambda d: d.update(states=[["s"], "t"]),
+            r"'states'\[0\] must be a nonempty name, got \['s'\]",
+        ),
+        (
+            lambda d: d["actions2"].update(t=["L", {"R": 1}]),
+            r"actions2\['t'\]\[1\] must be an action name, got \{'R': 1\}",
+        ),
     ],
 )
 def test_load_game_rejects_malformed_documents(mutate, message):
     with pytest.raises(ChainFormatError, match=message):
         load_game(broken(mutate))
+
+
+# the rules of a strategy family, each with its full message
+STRATEGY_RULES = [
+    (
+        lambda d: d["strategy1"]["s"].update(jump={"coeff": 1.0, "exp": "0"}),
+        "strategy1['s'] uses unknown action 'jump'",
+    ),
+    (
+        lambda d: d["strategy1"]["s"]["move"].update(coeff=0.0),
+        "strategy1['s']['move'] must have positive weight and exponent >= 0",
+    ),
+    (
+        lambda d: d["strategy2"]["t"]["R"].update(exp="-1/2"),
+        "strategy2['t']['R'] must have positive weight and exponent >= 0",
+    ),
+    (
+        lambda d: d["strategy1"]["t"]["move"].update(coeff=0.9),
+        "strategy1['t']: exponent-0 weights sum to 0.9, not 1",
+    ),
+    (
+        lambda d: d["strategy2"]["s"]["R"].update(coeff=0.6),
+        "strategy2['s']: exponent-0 weights sum to 1.1, not 1",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, message", STRATEGY_RULES)
+def test_load_game_applies_the_strategy_rules(mutate, message):
+    with pytest.raises(ChainFormatError) as info:
+        load_game(broken(mutate))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "player, state, action, weight, message",
+    [
+        (1, "s", "jump", monomial(1.0, 0), "strategy1['s'] uses unknown action 'jump'"),
+        (1, "s", "move", Monomial(0.0, Fraction(1, 2)),
+         "strategy1['s']['move'] must have positive weight and exponent >= 0"),
+        (1, "s", "move", Monomial(-1.0, Fraction(1, 2)),
+         "strategy1['s']['move'] must have positive weight and exponent >= 0"),
+        (2, "t", "R", Monomial(1.0, Fraction(-1, 2)),
+         "strategy2['t']['R'] must have positive weight and exponent >= 0"),
+        (1, "t", "move", monomial(0.9, 0), "strategy1['t']: exponent-0 weights sum to 0.9, not 1"),
+        (2, "t", "L", monomial(1.1, 0), "strategy2['t']: exponent-0 weights sum to 1.1, not 1"),
+        (1, "s", "move", Monomial(1.0, math.inf),
+         "strategy1['s']['move'] must have a finite rational exponent, got inf"),
+        (1, "s", "move", Monomial(0.5, 0.5),
+         "strategy1['s']['move'] must have a finite rational exponent, got 0.5"),
+    ],
+)
+def test_compile_game_applies_the_strategy_rules_to_built_strategies(
+    switch, player, state, action, weight, message
+):
+    game, x, y = switch
+    (x if player == 1 else y)[state][action] = weight
+    with pytest.raises(ChainFormatError) as info:
+        compile_game(game, x, y)
+    assert str(info.value) == message
+
+
+def test_compile_game_needs_a_strategy_for_every_state(switch):
+    game, x, y = switch
+    del y["t"]
+    with pytest.raises(ChainFormatError, match="strategy2 must map every state"):
+        compile_game(game, x, y)
 
 
 def test_load_game_file_errors():
@@ -158,6 +237,53 @@ def test_compiled_chain_passes_chain_validation(switch):
     chain, _ = compile_game(*switch)
     assert chain.states == ("s", "t")
     assert 0 < chain.lambda_max <= 1
+
+
+def _ties(doc: dict) -> int:
+    """Count the (state, destination, product exponent) groups that sum three
+    or more moves of distinct action pairs in the compiled chain."""
+    groups = Counter()
+    for s in doc["states"]:
+        for a1, xm in doc["strategy1"][s].items():
+            for a2, ym in doc["strategy2"][s].items():
+                e = Fraction(xm["exp"]) + Fraction(ym["exp"])
+                for dest, p in doc["transition"][s][a1][a2].items():
+                    if dest != s and p != 0.0:
+                        groups[(s, dest, e)] += 1
+    return sum(k >= 3 for k in groups.values())
+
+
+def test_compile_game_matches_the_frozen_fraction_front_end():
+    docs = [switch_doc(), json.load(open(fixture("game_pure.json")))]
+    rng = np.random.default_rng(8)
+    docs += [random_game_doc(rng) for _ in range(420)]
+    compiled = mixed = ties = 0
+    for doc in docs:
+        try:
+            want = frozen_compile_game(doc)
+        except ChainFormatError as exc:  # an exactly leaving row with slower entries
+            with pytest.raises(ChainFormatError) as info:
+                compile_game(*load_game(doc))
+            assert str(info.value) == str(exc)
+            continue
+        chain, g = compile_game(*load_game(doc))
+        assert list(chain.entries) == list(want[0].entries)
+        for key, m in chain.entries.items():
+            w = want[0].entries[key]
+            assert type(m.exp) is Fraction and m.exp == w.exp
+            assert m.coeff == w.coeff
+        assert chain.lambda_max == want[0].lambda_max
+        assert np.array_equal(g, want[1])
+        compiled += 1
+        dens = {Fraction(m["exp"]).denominator
+                for key in ("strategy1", "strategy2") for row in doc[key].values()
+                for m in row.values()}
+        mixed += math.lcm(*dens) > max(dens)
+        ties += _ties(doc)
+    assert compiled >= 300
+    # the inputs reach what the int compiler must get right: a common
+    # denominator that no single exponent has, and sums of three or more ties
+    assert mixed >= 150 and ties >= 100
 
 
 def test_pure_strategies_compile_to_the_underlying_kernel(pure):
