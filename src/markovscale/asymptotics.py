@@ -10,8 +10,9 @@ it is absorbing for addition and annihilating for multiplication.
 Exponents are exact rationals; `math.inf` is the reserved sentinel for the
 exponent of zero.  Public objects carry `fractions.Fraction` exponents; the
 aggregation ladder runs the same operations on ints counting units of the
-chain's common denominator (everything here is generic over both).  Exponent
-comparisons are exact.
+chain's common denominator, as decided once by the chain's `TickScale`
+(everything else here is generic over both).  Exponent comparisons are
+exact.
 """
 
 from __future__ import annotations
@@ -134,6 +135,37 @@ def mono_eval(a: Monomial, lam: float) -> float:
     if a.exp == 0:
         return a.coeff
     return a.coeff * lam ** float(a.exp)
+
+
+class TickScale:
+    """Exact exponents as ints.  The exponent p/q is the tick p * (D // q),
+    D being the lcm of the denominators the scale is made for; sums of
+    exponents become sums of ticks.  Ticks turn back into public `Fraction`
+    exponents and monomials here, one object per distinct value."""
+
+    def __init__(self, denominators):
+        self.D = math.lcm(*denominators)
+        self._fractions: dict = {INF: INF}
+        self._monomials: dict[tuple, Monomial] = {}
+
+    def tick(self, p: int, q: int) -> int:
+        """The tick of the exponent p/q; q must divide D."""
+        return p * (self.D // q)
+
+    def fraction(self, t) -> Exponent:
+        """The exponent t/D of the tick t (inf stays inf)."""
+        f = self._fractions.get(t)
+        if f is None:
+            f = self._fractions[t] = Fraction(t, self.D)
+        return f
+
+    def monomial(self, coeff: float, t) -> Monomial:
+        """The public monomial coeff * lam**(t/D)."""
+        key = (coeff, t)
+        m = self._monomials.get(key)
+        if m is None:
+            m = self._monomials[key] = Monomial(coeff, self.fraction(t))
+        return m
 
 
 def mono_sum(terms) -> Monomial:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .asymptotics import Exponent, Monomial, format_exponent, monomial, parse_exponent
+from .asymptotics import INF, Exponent, Monomial, TickScale, format_exponent, parse_exponent
 from .errors import ChainFormatError, InputError
 
 #: rows whose exponent-0 coefficients sum to within this of 1 are treated as
@@ -28,9 +28,16 @@ _TRANSITION_KEYS = {"from", "to", "coeff", "exp"}
 
 @dataclass
 class PerturbedChain:
+    """A validated chain, made by `build_chain`.  `scale` is the chain's
+    exponent scale, `ticks` each entry's exponent as an int tick of that
+    scale, and `leaving` the exactly-leaving states."""
+
     states: tuple[str, ...]
     entries: dict[tuple[str, str], Monomial]
     lambda_max: float
+    scale: TickScale = field(repr=False)
+    ticks: dict[tuple[str, str], int] = field(repr=False)
+    leaving: frozenset[str]
     index: dict[str, int] = field(default_factory=dict, repr=False)
     _rows: dict[str, dict[str, Monomial]] = field(default_factory=dict, repr=False)
 
@@ -49,44 +56,29 @@ class PerturbedChain:
         return len(self.states)
 
 
-def exp0_mass(row: dict) -> float:
-    """Sum of the exponent-0 coefficients of a row of monomials."""
-    return sum(m.coeff for m in row.values() if m.exp == 0)
-
-
 def leaves_exactly(mass0: float) -> bool:
-    """The surviving-diagonal rule: a row of off-diagonal monomials leaves
+    """The surviving-diagonal rule: a row of off-diagonal terms leaves
     exactly (its implied diagonal vanishes in the limit) when its exponent-0
-    mass (`exp0_mass`) is 1 within EXACT_LEAVING_TOL.  This is the one float
-    tolerance that any structural decision of the package depends on."""
+    mass is 1 within EXACT_LEAVING_TOL.  This is the one float tolerance
+    that any structural decision of the package depends on; `build_chain`
+    applies it once per chain row, giving `PerturbedChain.leaving`."""
     return abs(mass0 - 1.0) <= EXACT_LEAVING_TOL
 
 
-def is_exactly_leaving(row: dict) -> bool:
-    """`leaves_exactly` applied to the row's exponent-0 mass."""
-    return leaves_exactly(exp0_mass(row))
-
-
-def _row_lambda_max(state: str, row: dict[str, Monomial], mass0: float, cap: float) -> float:
-    """Largest lam in (0, 1] keeping this row's implied diagonal nonnegative,
-    or `cap` if the diagonal is still nonnegative there; `mass0` is the row's
-    `exp0_mass`.  The diagonal does not increase with lam, so such a row
-    cannot bring a running minimum below `cap`; rows that can are bisected on
-    all of (0, 1]."""
+def _row_lambda_max(state: str, row: dict, D: int, cap: float) -> float:
+    """Largest lam in (0, 1] keeping the implied diagonal of a row of
+    `(coeff, tick)` pairs that does not leave exactly nonnegative, or `cap`
+    if the diagonal is still nonnegative there.  The diagonal does not
+    increase with lam, so such a row cannot bring a running minimum below
+    `cap`; rows that can are bisected on all of (0, 1]."""
     if not row:
         return 1.0
-    if leaves_exactly(mass0):
-        if any(m.exp > 0 for m in row.values()):
-            raise ChainFormatError(
-                f"row {state!r}: exponent-0 coefficients already sum to 1, "
-                "so the extra positive-exponent entries leave no feasible lambda"
-            )
-        return 1.0
-    # c * lam**0.0 == c, so this matches mono_eval term by term
+    # c * lam**0.0 == c, so this matches mono_eval term by term; t / D is
+    # the correctly rounded float of the exponent, as float(Fraction) is
     terms = []
-    for dst, m in row.items():
+    for dst, (c, t) in row.items():
         try:
-            terms.append((m.coeff, float(m.exp)))
+            terms.append((c, t / D))
         except OverflowError:
             raise ChainFormatError(
                 f"transition {state!r} -> {dst!r}: exponent is too large for a float"
@@ -109,10 +101,11 @@ def _row_lambda_max(state: str, row: dict[str, Monomial], mass0: float, cap: flo
     return lo
 
 
-def chain_from_entries(
-    states, entries: dict[tuple[str, str], Monomial]
-) -> PerturbedChain:
-    """Build and validate a chain from explicit off-diagonal monomials."""
+def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
+    """The one chain builder.  `entries` maps `(from, to)` to `(coeff,
+    tick)`, with ticks >= 0 on `scale`; entries with coefficient 0 are
+    dropped.  Validates the states and coefficients, judges each row's
+    exponent-0 mass once (`leaves_exactly`) and finds `lambda_max`."""
     states = tuple(states)
     if not states:
         raise ChainFormatError("chain has an empty state set")
@@ -124,8 +117,8 @@ def chain_from_entries(
             raise ChainFormatError(f"duplicate state name {s!r}")
         seen.add(s)
 
-    rows: dict[str, dict[str, Monomial]] = {s: {} for s in states}
-    for (src, dst), m in entries.items():
+    rows: dict[str, dict[str, tuple[float, int]]] = {s: {} for s in states}
+    for (src, dst), (c, t) in entries.items():
         if src not in seen:
             raise ChainFormatError(f"transition from unknown state {src!r}")
         if dst not in seen:
@@ -134,30 +127,55 @@ def chain_from_entries(
             raise ChainFormatError(
                 f"diagonal entry {src!r} -> {dst!r} is implied and must not be given"
             )
-        if m.is_zero():
+        if c == 0.0:
             continue  # zero entries are simply absent
-        if m.coeff <= 0:
+        if c <= 0:
             raise ChainFormatError(
-                f"transition {src!r} -> {dst!r}: coefficient must be > 0, got {m.coeff!r}"
+                f"transition {src!r} -> {dst!r}: coefficient must be > 0, got {c!r}"
             )
-        if not isinstance(m.exp, (int, Fraction)) or m.exp < 0:
-            raise ChainFormatError(
-                f"transition {src!r} -> {dst!r}: exponent must be a finite rational >= 0, "
-                f"got {format_exponent(m.exp)}"
-            )
-        rows[src][dst] = m
+        rows[src][dst] = (c, t)
 
     lambda_max = 1.0
+    leaving = []
     for s in states:
-        mass0 = exp0_mass(rows[s])
+        row = rows[s]
+        mass0 = sum(c for c, t in row.values() if t == 0)  # in row order
         if mass0 > 1.0 + EXACT_LEAVING_TOL:
             raise ChainFormatError(
                 f"row {s!r}: exponent-0 coefficients sum to {mass0!r} > 1"
             )
-        lambda_max = min(lambda_max, _row_lambda_max(s, rows[s], mass0, lambda_max))
+        if leaves_exactly(mass0):
+            if any(t > 0 for _, t in row.values()):
+                raise ChainFormatError(
+                    f"row {s!r}: exponent-0 coefficients already sum to 1, "
+                    "so the extra positive-exponent entries leave no feasible lambda"
+                )
+            leaving.append(s)
+        else:
+            lambda_max = min(lambda_max, _row_lambda_max(s, row, scale.D, lambda_max))
 
-    flat = {(s, d): m for s in states for d, m in rows[s].items()}
-    return PerturbedChain(states=states, entries=flat, lambda_max=lambda_max)
+    flat = {(s, d): scale.monomial(c, t) for s in states for d, (c, t) in rows[s].items()}
+    ticks = {(s, d): t for s in states for d, (_, t) in rows[s].items()}
+    return PerturbedChain(states=states, entries=flat, lambda_max=lambda_max, scale=scale,
+                          ticks=ticks, leaving=frozenset(leaving))
+
+
+def chain_from_entries(
+    states, entries: dict[tuple[str, str], Monomial]
+) -> PerturbedChain:
+    """Build and validate a chain from explicit off-diagonal monomials."""
+    for (src, dst), m in entries.items():
+        if not (m.is_zero() or isinstance(m.exp, (int, Fraction)) and m.exp >= 0):
+            raise ChainFormatError(
+                f"transition {src!r} -> {dst!r}: exponent must be a finite rational >= 0, "
+                f"got {format_exponent(m.exp)}"
+            )
+    scale = TickScale(m.exp.denominator for m in entries.values() if not m.is_zero())
+    pairs = {
+        key: (m.coeff, 0 if m.is_zero() else scale.tick(m.exp.numerator, m.exp.denominator))
+        for key, m in entries.items()
+    }
+    return build_chain(states, pairs, scale)
 
 
 def read_json_file(path, what: str, error: type[InputError] = ChainFormatError):
@@ -214,7 +232,7 @@ def load_chain(source) -> PerturbedChain:
     if not isinstance(transitions, list):
         raise ChainFormatError("'transitions' must be a list")
 
-    entries: dict[tuple[str, str], Monomial] = {}
+    entries: dict[tuple[str, str], tuple[float, str]] = {}  # coeff and exponent text
     parsed: dict[str, Exponent] = {}  # a chain repeats a few exponent texts
     for i, tr in enumerate(transitions):
         where = f"transitions[{i}]"
@@ -231,20 +249,25 @@ def load_chain(source) -> PerturbedChain:
             key, name = ("to", dst) if isinstance(src, str) else ("from", src)
             raise ChainFormatError(f"{where}: '{key}' must be a state name, got {name!r}")
         coeff = read_number(tr["coeff"], "transitions[%d]: 'coeff'", i)
-        if coeff <= 0:
-            raise ChainFormatError(f"{where}: 'coeff' must be > 0, got {tr['coeff']!r}")
+        if not 0 < coeff < INF:
+            raise ChainFormatError(f"{where}: 'coeff' must be finite and > 0, got {tr['coeff']!r}")
         text = tr["exp"]
-        try:
-            exp = parsed.get(text) if isinstance(text, str) else None
-            if exp is None:
-                exp = parsed[text] = parse_exponent(text)
-            m = monomial(coeff, exp)
-        except ValueError as exc:
-            raise ChainFormatError(f"{where}: {exc}") from None
+        if not isinstance(text, str) or text not in parsed:
+            try:
+                exp = parse_exponent(text)
+            except ValueError as exc:
+                raise ChainFormatError(f"{where}: {exc}") from None
+            if exp == INF or exp < 0:
+                raise ChainFormatError(
+                    f"{where}: exponent must be a finite rational >= 0, got {text}"
+                )
+            parsed[text] = exp
         if (src, dst) in entries:
             raise ChainFormatError(f"{where}: duplicate transition {src!r} -> {dst!r}")
-        entries[(src, dst)] = m
-    return chain_from_entries(states, entries)
+        entries[(src, dst)] = (coeff, text)
+    scale = TickScale(e.denominator for e in parsed.values())
+    ticks = {text: scale.tick(e.numerator, e.denominator) for text, e in parsed.items()}
+    return build_chain(states, {k: (c, ticks[text]) for k, (c, text) in entries.items()}, scale)
 
 
 def dump_chain(chain: PerturbedChain) -> dict:

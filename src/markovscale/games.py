@@ -10,21 +10,14 @@ vector, which the aggregation machinery then evaluates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import INF, Exponent, Monomial, monomial, parse_exponent
-from .chain_model import (
-    PerturbedChain,
-    chain_from_entries,
-    leaves_exactly,
-    read_json_file,
-    read_number,
-)
+from .asymptotics import Exponent, Monomial, TickScale, monomial, parse_exponent
+from .chain_model import PerturbedChain, build_chain, leaves_exactly, read_json_file, read_number
 from .errors import ChainFormatError
 from .evaluator import limit_payoff
 from .hierarchy import analyze
@@ -106,12 +99,12 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
             not isinstance(row, list) or len(row) != n2 for row in rows
         ):
             raise ChainFormatError(f"payoff[{s!r}] must be a list of {n1} rows of {n2} numbers")
-        mat = np.array([
-            [read_number(v, "payoff[%r][%d][%d]", s, i, j) for j, v in enumerate(row)]
-            for i, row in enumerate(rows)
-        ])
-        if not np.isfinite(mat).all() or (mat < 0).any() or (mat > 1).any():
-            raise ChainFormatError(f"payoff[{s!r}] values must lie in [0, 1]")
+        mat = np.empty((n1, n2))
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                v = mat[i, j] = read_number(v, "payoff[%r][%d][%d]", s, i, j)
+                if not 0.0 <= v <= 1.0:  # NaN fails too
+                    raise ChainFormatError(f"payoff[{s!r}] values must lie in [0, 1]")
         payoff[s] = mat
 
     transition = {}
@@ -211,7 +204,7 @@ def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> dic
     for s, row in strategy.items():
         acts = actions[s]
         weights = []
-        mass0 = 0  # summed in row order, as exp0_mass does
+        mass0 = 0  # summed in row order, as build_chain does
         for a, m in row.items():
             try:
                 k = acts.index(a)
@@ -240,21 +233,6 @@ def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> dic
     return out
 
 
-_ZERO_TICKS = (0.0, INF)
-
-
-def _tick_add(a: tuple, c: float, e: int) -> tuple:
-    """`mono_add(a, Monomial(c, e))` on `(coeff, tick)` pairs."""
-    ac, ae = a
-    if ae < e:
-        return a
-    if e < ae:
-        return c, e
-    if ac == 0.0:
-        return _ZERO_TICKS
-    return ac + c, ae
-
-
 def compile_game(game: StochasticGame, x: Strategy, y: Strategy) -> tuple[PerturbedChain, np.ndarray]:
     """Reduce the game under fixed strategy families to a perturbed chain and
     the limit per-state payoff vector.
@@ -267,40 +245,34 @@ def compile_game(game: StochasticGame, x: Strategy, y: Strategy) -> tuple[Pertur
     """
     xw = validate_strategy(x, game.actions1, "strategy1")
     yw = validate_strategy(y, game.actions2, "strategy2")
-    # exponents are summed as int ticks of 1/D, D the lcm of their denominators
-    exps = {e for w in (xw, yw) for row in w.values() for _, _, _, e in row}
-    D = math.lcm(*(q for _, q in exps))
-    ticks = {(p, q): p * (D // q) for p, q in exps}
-    entries: dict[tuple[str, str], Monomial] = {}
-    fracs: dict[int, Fraction] = {}
+    scale = TickScale({q for w in (xw, yw) for row in w.values() for _, _, _, (_, q) in row})
+    tick = scale.tick
+    entries: dict[tuple[str, str], tuple[float, int]] = {}
     gvec = []
     for s in game.states:
         pay = game.payoff[s].tolist()
         moves = game.transition[s]
-        yrow = [(a2, k2, yc, ticks[e]) for a2, k2, yc, e in yw[s]]
-        acc: dict[str, tuple] = {}
-        gacc = _ZERO_TICKS
+        yrow = [(a2, k2, yc, tick(*e)) for a2, k2, yc, e in yw[s]]
+        # destination -> {tick: coefficient sum}; the leading term is the
+        # sum at the smallest tick, added up in the order mono_add would
+        acc: dict[str, dict[int, float]] = {}
+        g = 0.0
         for a1, k1, xc, e in xw[s]:
-            xe, prow, arow = ticks[e], pay[k1], moves[a1]
+            xe, prow, arow = tick(*e), pay[k1], moves[a1]
             for a2, k2, yc, ye in yrow:
                 wc, we = xc * yc, xe + ye
-                gval = prow[k2]
-                if gval != 0.0:
-                    gacc = _tick_add(gacc, wc * gval, we)
+                if we == 0:
+                    g += wc * prow[k2]
                 for dest, p in arow[a2].items():
                     if dest == s or p == 0.0:
                         continue
-                    acc[dest] = _tick_add(acc.get(dest, _ZERO_TICKS), wc * p, we)
-        for dest, (c, t) in acc.items():
-            if c != 0.0:
-                exp = fracs.get(t)
-                if exp is None:
-                    exp = fracs[t] = Fraction(t, D)
-                entries[(s, dest)] = Monomial(c, exp)
-        gc, ge = gacc
-        gvec.append(gc if ge == 0 else 0.0)
-    chain = chain_from_entries(game.states, entries)
-    return chain, np.array(gvec)
+                    sums = acc.setdefault(dest, {})
+                    sums[we] = sums.get(we, 0.0) + wc * p
+        for dest, sums in acc.items():
+            t = min(sums)
+            entries[(s, dest)] = (sums[t], t)
+        gvec.append(g)
+    return build_chain(game.states, entries, scale), np.array(gvec)
 
 
 def limit_game_payoff(game: StochasticGame, x: Strategy, y: Strategy) -> np.ndarray:

@@ -16,9 +16,10 @@ generator, and M the within-class limit measures, plus the averaging period N
 for the extended (stepwise) position, read off the level-1 class periods.
 
 Every exponent the ladder produces is a Z-combination of the chain's entry
-exponents, so `analyze` runs it on ints counting units of 1/D, with D the
-common denominator of those exponents.  The levels it returns convert
-their tables to `Fraction` exponents when a row is first read.
+exponents, so `analyze` runs it on the chain's ticks: ints counting units
+of 1/D on the scale the chain was built with.  The levels it returns
+convert their tables to `Fraction` exponents through that scale when a row
+is first read.
 `next_threshold` and `build_level` are generic over the two representations.
 """
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,11 +36,12 @@ from .asymptotics import (
     ZERO,
     Exponent,
     Monomial,
+    TickScale,
     format_exponent,
     mono_add,
     mono_mul,
 )
-from .chain_model import PerturbedChain, is_exactly_leaving
+from .chain_model import PerturbedChain
 from .errors import InputError, InternalError
 from .structure import ClassDecomposition, classify, entrance_law, invariant_measure
 
@@ -70,47 +71,20 @@ class HierarchyLevel:
     parent: dict[Node, Node]
 
 
-class _Publisher:
-    """Turns ladder rows on int exponents, counting units of 1/D, into rows
-    with public Fraction exponents, making one monomial per distinct
-    (coeff, exp) value.  A model's levels share one publisher."""
-
-    def __init__(self, D: int):
-        self.D = D
-        self._fractions: dict = {INF: INF}
-        self._monomials: dict[tuple, Monomial] = {}
-
-    def fraction(self, t):
-        """The Fraction t/D, memoized over the few distinct exponents."""
-        f = self._fractions.get(t)
-        if f is None:
-            f = self._fractions[t] = Fraction(t, self.D)
-        return f
-
-    def __call__(self, row: dict) -> dict:
-        out = {}
-        for v, m in row.items():
-            key = (m.coeff, m.exp)
-            p = self._monomials.get(key)
-            if p is None:
-                p = self._monomials[key] = Monomial(m.coeff, self.fraction(m.exp))
-            out[v] = p
-        return out
-
-
 class _PublicTable(Mapping):
-    """Read-only view of a ladder table (node -> row on int exponents) that
-    hands out each row as `publish` makes it, when the row is first read."""
+    """Read-only view of a ladder table (node -> row on ticks) that hands out
+    each row with the public monomials of `scale`, when the row is first read."""
 
-    def __init__(self, rows: dict, publish: _Publisher):
+    def __init__(self, rows: dict, scale: TickScale):
         self._rows = rows
-        self._publish = publish
+        self._monomial = scale.monomial
         self._public: dict = {}
 
     def __getitem__(self, node):
         row = self._public.get(node)
         if row is None:
-            row = self._public[node] = self._publish(self._rows[node])
+            pub = self._monomial
+            row = self._public[node] = {v: pub(m.coeff, m.exp) for v, m in self._rows[node].items()}
         return row
 
     def __contains__(self, node) -> bool:
@@ -144,14 +118,13 @@ class LimitModel:
         return len(self.classes)
 
 
-def _base_level(chain: PerturbedChain, exps: list[int]) -> HierarchyLevel:
-    """Level 0, every state a node; `exps` holds the int exponents of the
-    chain's entries, in entry order."""
+def _base_level(chain: PerturbedChain) -> HierarchyLevel:
+    """Level 0, every state a node, on the chain's ticks."""
     nodes = [(s,) for s in chain.states]
     node_of = dict(zip(chain.states, nodes))
     agg: dict[Node, dict[Node, Monomial]] = {n: {} for n in nodes}
-    for ((src, dst), m), e in zip(chain.entries.items(), exps):
-        agg[node_of[src]][node_of[dst]] = Monomial(m.coeff, e)
+    for ((src, dst), m), t in zip(chain.entries.items(), chain.ticks.values()):
+        agg[node_of[src]][node_of[dst]] = Monomial(m.coeff, t)
     return HierarchyLevel(
         index=0,
         alpha=None,
@@ -175,19 +148,19 @@ def next_threshold(level: HierarchyLevel) -> Exponent:
     return alpha
 
 
-def _level_support(aggregated: dict, nodes: list[Node], alpha: Exponent) -> dict:
+def _level_support(aggregated: dict, nodes: list[Node], alpha: Exponent, leaving) -> dict:
     """Leading-order support at threshold alpha: rows whose minimal exit
     exponent is <= alpha contribute their min-attaining arcs, all other rows
-    are absorbing; self-loops follow the surviving-diagonal rule.  A row
-    without an exponent-0 arc has exponent-0 mass 0, so its diagonal
-    survives without asking the rule."""
+    are absorbing.  A row keeps its self-loop unless it has an exponent-0 arc
+    and its node is in `leaving`, the nodes of the exactly-leaving states (a
+    merged node has none: its members' leading arcs stay in its class)."""
     support = {}
     for u in nodes:
         row = aggregated[u]
         emin = min((m.exp for m in row.values()), default=INF)
         if emin <= alpha:
             succ = {v for v, m in row.items() if m.exp == emin}
-            if emin != 0 or not is_exactly_leaving(row):
+            if emin != 0 or u not in leaving:
                 succ.add(u)
         else:
             succ = {u}
@@ -212,7 +185,8 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     Q = previous.aggregated
     state_order = chain.index
 
-    decomp = classify(_level_support(Q, previous.nodes, alpha))
+    leaving = {(s,) for s in chain.leaving}
+    decomp = classify(_level_support(Q, previous.nodes, alpha, leaving))
 
     parent: dict[Node, Node] = {}
     new_nodes: list[Node] = []
@@ -287,16 +261,9 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
 
 def analyze(chain: PerturbedChain) -> LimitModel:
     """Run the aggregation ladder to termination and assemble mu, A, M, N."""
-    # exponents are keyed by (numerator, denominator): hashing a Fraction is
-    # far slower than hashing two ints
-    keys = [(m.exp.numerator, m.exp.denominator) for m in chain.entries.values()]
-    distinct = set(keys)
-    # every exponent p/q becomes the int p * (D / q), exact since D is a
-    # multiple of every denominator
-    D = math.lcm(*(q for _, q in distinct))
-    ticks = {(p, q): p * (D // q) for p, q in distinct}
-    publish = _Publisher(D)
-    frac = publish.fraction
+    scale = chain.scale
+    D = scale.D
+    frac = scale.fraction
 
     def fmt(t) -> str:
         return format_exponent(frac(t))
@@ -307,11 +274,11 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     weight_coeff = dict.fromkeys(chain.states, 1.0)
     weight_exp = dict.fromkeys(chain.states, 0)
 
-    base = _base_level(chain, [ticks[k] for k in keys])
+    base = _base_level(chain)
     levels = [base]
     current = base
     alphas: list[int] = []
-    guard = chain.n_states * max(1, len(distinct)) + 1
+    guard = chain.n_states * max(1, len(set(chain.ticks.values()))) + 1
     terminal = None
     for _ in range(guard):
         alpha = next_threshold(current)
@@ -380,8 +347,8 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     for level in levels:
         if level.alpha is not None:
             level.alpha = frac(level.alpha)
-        level.measures = _PublicTable(level.measures, publish)
-        level.aggregated = _PublicTable(level.aggregated, publish)
+        level.measures = _PublicTable(level.measures, scale)
+        level.aggregated = _PublicTable(level.aggregated, scale)
 
     return LimitModel(
         chain=chain,

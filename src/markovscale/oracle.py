@@ -22,7 +22,9 @@ _ROW_SUM_TOL = 1e-9
 
 
 def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
-    """Concrete stochastic matrix Q_lam (diagonal implied by the rows)."""
+    """Concrete stochastic matrix Q_lam (diagonal implied by the rows).  The
+    rows of the chain's exactly-leaving states are scaled to sum to one and
+    get a zero diagonal, as the model assumes of them."""
     if not 0.0 < lam <= chain.lambda_max * (1.0 + 1e-12):
         raise InputError(
             f"lambda {lam!r} outside the feasible range (0, {chain.lambda_max!r}]"
@@ -31,7 +33,10 @@ def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
     Q = np.zeros((n, n))
     for (src, dst), m in chain.entries.items():
         Q[chain.index[src], chain.index[dst]] = mono_eval(m, lam)
+    leaving = [chain.index[s] for s in chain.leaving]
+    Q[leaving] /= Q[leaving].sum(axis=1, keepdims=True)
     diag = 1.0 - Q.sum(axis=1)
+    diag[leaving] = 0.0
     if (diag < -1e-12).any():
         raise InputError(f"lambda {lam!r} leaves a negative implied diagonal")
     np.fill_diagonal(Q, np.clip(diag, 0.0, None))

@@ -26,12 +26,15 @@ from markovscale.asymptotics import (
     mono_sum,
     parse_exponent,
 )
-from markovscale.chain_model import exp0_mass, is_exactly_leaving, read_number
+from markovscale.chain_model import leaves_exactly, read_number
 from markovscale.games import load_game
 from markovscale.hierarchy import build_level, next_threshold
 from markovscale.structure import classify
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+CHAIN_FIXTURES = ("eightstate", "eightstate_primes", "funnel_delayed", "funnel_instant",
+                  "twostate_half", "twostate_heavy", "twostate_swap", "twostate_unit")
+GAME_FIXTURES = ("game_pure", "game_switch")
 
 # exponent grid used by the randomized suites
 EXPONENT_POOL = (
@@ -73,6 +76,18 @@ def mono_close(a, b, rtol: float = COEFF_RTOL) -> bool:
         return False
     scale = max(abs(a.coeff), abs(b.coeff))
     return abs(a.coeff - b.coeff) <= rtol * scale
+
+
+def exp0_mass(row: dict) -> float:
+    """Reference: the sum of the exponent-0 coefficients of a row of
+    monomials, in row order."""
+    return sum(m.coeff for m in row.values() if m.exp == 0)
+
+
+def is_exactly_leaving(row: dict) -> bool:
+    """Reference surviving-diagonal rule on a row of monomials: `leaves_exactly`
+    of its exponent-0 mass."""
+    return leaves_exactly(exp0_mass(row))
 
 
 def support_graph(matrix: dict) -> dict:

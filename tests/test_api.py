@@ -1,10 +1,13 @@
 """The package namespace is the API that the README's Library section documents,
 and every command line in the README's Command line block parses."""
 
+import dataclasses
 import importlib
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 import markovscale
 from markovscale.cli import _build_parser
@@ -29,6 +32,17 @@ def _documented_names() -> set:
     return names
 
 
+def _bullet(name: str) -> str:
+    """The text after the dash of the Library bullet that opens with `name`,
+    continuation lines included."""
+    lines = _section("Library").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"- `{name}`"))
+    end = start + 1
+    while end < len(lines) and lines[end].startswith("  "):
+        end += 1
+    return " ".join(lines[start:end]).split(" — ", 1)[1]
+
+
 def _readme_imports() -> list:
     """(module, name) for every `from markovscale... import ...` in the README."""
     out = []
@@ -42,6 +56,15 @@ def test_all_is_the_documented_library_api():
     assert set(markovscale.__all__) == _documented_names()
     for name in markovscale.__all__:
         assert hasattr(markovscale, name), name
+
+
+@pytest.mark.parametrize(
+    "cls", [markovscale.PerturbedChain, markovscale.LimitModel, markovscale.HierarchyLevel]
+)
+def test_every_public_field_is_named_in_its_library_bullet(cls):
+    named = set(re.findall(r"`([A-Za-z_]\w*)", _bullet(cls.__name__)))
+    fields = {f.name for f in dataclasses.fields(cls) if not f.name.startswith("_")}
+    assert fields <= named, f"undocumented fields of {cls.__name__}: {sorted(fields - named)}"
 
 
 def test_every_readme_import_resolves():

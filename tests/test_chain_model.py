@@ -16,12 +16,19 @@ from markovscale import (
     load_chain,
     monomial,
 )
+from markovscale.games import compile_game, load_game
 from markovscale.oracle import instantiate
 
 from helpers import (
+    CHAIN_FIXTURES,
     COPRIME_POOL,
+    GAME_FIXTURES,
     fixture,
+    is_exactly_leaving,
     random_chain,
+    random_critical_chain,
+    random_nested_chain,
+    random_periodic_chain,
     random_trap_chain,
     sub_unit_skeleton,
     unpruned_row_lambda_max,
@@ -88,6 +95,53 @@ def test_load_accepts_dict_and_round_trips_through_dump():
     assert again.states == chain.states
     assert again.entries == chain.entries
     assert again.lambda_max == pytest.approx(chain.lambda_max, rel=1e-12)
+
+
+def _entry_bits(chain) -> list:
+    return [(key, m.coeff.hex(), type(m.exp), m.exp) for key, m in chain.entries.items()]
+
+
+def _same_build(chain, want) -> None:
+    """`chain` has `want`'s entries in order, bit for bit, its `lambda_max`
+    bits and its exactly-leaving states, and its ticks are its exponents."""
+    assert chain.states == want.states
+    assert _entry_bits(chain) == _entry_bits(want)
+    assert chain.lambda_max.hex() == want.lambda_max.hex()
+    assert chain.leaving == want.leaving
+    assert list(chain.ticks) == list(chain.entries)
+    for key, m in chain.entries.items():
+        assert chain.scale.fraction(chain.ticks[key]) == m.exp
+
+
+def test_the_three_front_doors_build_the_same_chain():
+    # chain_from_entries, load_chain and compile_game all go through one
+    # builder; whichever of them built a chain, chain_from_entries on its
+    # entries and load_chain on its document reproduce it
+    chains = [load_chain(fixture(f"{name}.json")) for name in CHAIN_FIXTURES]
+    chains += [compile_game(*load_game(fixture(f"{name}.json")))[0] for name in GAME_FIXTURES]
+    rng = np.random.default_rng(99)
+    makers = [
+        random_chain,
+        lambda r: random_chain(r, max_states=8, pool=COPRIME_POOL),
+        random_periodic_chain,
+        random_trap_chain,
+        random_nested_chain,
+        random_critical_chain,
+    ]
+    chains += [makers[i % len(makers)](rng) for i in range(1200)]
+    leaving_rows = 0
+    for chain in chains:
+        assert chain.leaving == {s for s in chain.states if is_exactly_leaving(chain.row(s))}
+        leaving_rows += len(chain.leaving)
+        _same_build(chain_from_entries(chain.states, chain.entries), chain)
+        # a document lists each row's entries in state order, and the float
+        # sums behind lambda_max follow row order
+        doc = dump_chain(chain)
+        order = {s: i for i, s in enumerate(chain.states)}
+        dumped = sorted(chain.entries.items(), key=lambda kv: (order[kv[0][0]], order[kv[0][1]]))
+        _same_build(load_chain(doc), chain_from_entries(chain.states, dict(dumped)))
+        _same_build(load_chain(json.loads(json.dumps(doc))), load_chain(doc))
+    assert len(chains) >= 1210 and leaving_rows >= 500
 
 
 def test_instantiated_rows_sum_to_one_across_the_lambda_range():

@@ -126,6 +126,14 @@ def broken(mutate):
             r"payoff\['t'\]\[0\]\[1\] must be a number",
         ),
         (
+            lambda d: d["payoff"]["t"][1].__setitem__(0, math.nan),
+            r"payoff\['t'\] values must lie in \[0, 1\]",
+        ),
+        (
+            lambda d: d["payoff"]["s"][0].__setitem__(1, -0.1),
+            r"payoff\['s'\] values must lie in \[0, 1\]",
+        ),
+        (
             lambda d: d["payoff"].update(s=[[0.2], [0.6, 0.8]]),
             r"payoff\['s'\] must be a list of 2 rows of 2 numbers",
         ),

@@ -21,7 +21,7 @@ from markovscale import (
 from markovscale import hierarchy
 from markovscale.evaluator import expm
 from markovscale.hierarchy import _level_support, build_level, next_threshold
-from markovscale.oracle import instantiate, matrix_power_position
+from markovscale.oracle import convergence_sweep, instantiate, matrix_power_position
 
 from helpers import (
     COPRIME_POOL,
@@ -169,19 +169,33 @@ def test_swap_chain_aggregates_to_one_periodic_class():
 def test_surviving_diagonal_rule_agrees_across_callers_at_the_tolerance(mass0, leaves):
     # a <-> b at exponent 0; a's implied diagonal survives unless its mass is
     # within the exactly-leaving tolerance of 1, and a surviving diagonal
-    # makes the swap class aperiodic
+    # makes the swap class aperiodic.  c feeds the class on the 1/lam scale
     chain = chain_from_entries(
-        ["a", "b"], {("a", "b"): monomial(mass0, F(0)), ("b", "a"): monomial(1.0, F(0))}
+        ["a", "b", "c"],
+        {
+            ("a", "b"): monomial(mass0, F(0)),
+            ("b", "a"): monomial(1.0, F(0)),
+            ("c", "a"): monomial(0.5, F(1)),
+        },
     )
     rows = {s: chain.row(s) for s in chain.states}
     model = analyze(chain)
     base = model.levels[0]
+    assert chain.leaving == ({"a", "b"} if leaves else {"b"})
     assert ("a" in sub_unit_skeleton(chain)["a"]) is not leaves
     assert ("a" in support_graph(rows)["a"]) is not leaves
-    assert (("a",) in _level_support(base.aggregated, base.nodes, F(0))[("a",)]) is not leaves
-    assert model.classes == [("a", "b")]
+    support = _level_support(base.aggregated, base.nodes, F(0), {(s,) for s in chain.leaving})
+    assert (("a",) in support[("a",)]) is not leaves
+    assert model.classes == [("a", "b"), ("c",)]
     assert model.levels[1].period[("a", "b")] == (2 if leaves else 1)
     assert model.N == (2 if leaves else 1)
+    if leaves:
+        # the oracle takes the same decision: its position error is small
+        # and falls like lambda
+        sweep = convergence_sweep(chain, model, t=1.0, lambdas=[1e-2, 1e-3, 1e-4])
+        errs = [e["position_err"] for e in sweep.entries]
+        assert max(errs) < 1e-2
+        assert all(5 * b <= a for a, b in zip(errs, errs[1:])), errs
 
 
 def test_averaging_period_matches_the_sub_unit_skeleton_reference():

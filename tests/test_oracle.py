@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from markovscale import InputError, ResourceError, analyze, load_chain
+from markovscale import InputError, ResourceError, analyze, chain_from_entries, load_chain, monomial
 from markovscale.oracle import (
     MAX_POWER_STEPS,
     _geometric_sum,
@@ -65,6 +65,25 @@ def test_instantiate_rejects_infeasible_lambdas():
         instantiate(chain, 0.0)
     with pytest.raises(InputError, match="feasible"):
         instantiate(chain, -1e-3)
+
+
+def test_instantiate_gives_exactly_leaving_rows_no_diagonal():
+    # a's exponent-0 mass is 1 + 1e-10, within the exactly-leaving tolerance,
+    # so the model gives a no diagonal; the oracle must not find a negative one
+    def chain(mass0):
+        return chain_from_entries(["a", "b", "c"], {
+            ("a", "b"): monomial(mass0, 0),
+            ("b", "a"): monomial(1.0, 0),
+            ("c", "a"): monomial(0.5, 1),
+        })
+
+    over, under = chain(1 + 1e-10), chain(1 - 1e-10)
+    assert over.leaving == under.leaving == {"a", "b"}
+    assert over.lambda_max == 1.0
+    for lam in (1e-3, 1e-4):
+        Q = instantiate(over, lam)
+        assert np.array_equal(Q, instantiate(under, lam))
+        assert Q[0].tolist() == [0.0, 1.0, 0.0]
 
 
 # --------------------------------------------------- averaged matrix powers
