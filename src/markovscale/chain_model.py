@@ -271,13 +271,12 @@ def load_chain(source) -> PerturbedChain:
 
 
 def dump_chain(chain: PerturbedChain) -> dict:
-    """Serialize back to the document shape accepted by load_chain."""
-    order = chain.index
+    """Serialize back to the document shape accepted by load_chain, listing
+    the entries in the chain's own order: lambda_max sums each row in that
+    order, so load_chain gives back its bits."""
     transitions = [
         {"from": src, "to": dst, "coeff": m.coeff, "exp": format_exponent(m.exp)}
-        for (src, dst), m in sorted(
-            chain.entries.items(), key=lambda kv: (order[kv[0][0]], order[kv[0][1]])
-        )
+        for (src, dst), m in chain.entries.items()
     ]
     return {"states": list(chain.states), "transitions": transitions}
 

@@ -141,8 +141,8 @@ def convergence_sweep(chain: PerturbedChain, model: LimitModel, t: float, lambda
         raise InputError("need at least one lambda")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise InputError("lambdas must be strictly decreasing")
-    if t <= 0:
-        raise InputError(f"t must be > 0, got {t!r}")
+    if not math.isfinite(t) or t <= 0:
+        raise InputError(f"t must be a finite number > 0, got {t!r}")
 
     pos_model = position(model, t=t)
     occ_model = occupation(model, t=t).matrix

@@ -3,8 +3,11 @@ and every command line in the README's Command line block parses."""
 
 import dataclasses
 import importlib
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +86,16 @@ def test_every_readme_command_line_parses():
     assert {line.split()[1] for line in lines} == {
         "analyze", "position", "occupation", "payoff", "verify", "game-compile"
     }
+
+
+def test_importing_the_package_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy is a test-only reference
+    code = (
+        "import sys; import markovscale, markovscale.cli, markovscale.oracle, markovscale.games; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = Path(markovscale.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

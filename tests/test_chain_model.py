@@ -94,7 +94,7 @@ def test_load_accepts_dict_and_round_trips_through_dump():
     again = load_chain(doc)
     assert again.states == chain.states
     assert again.entries == chain.entries
-    assert again.lambda_max == pytest.approx(chain.lambda_max, rel=1e-12)
+    assert again.lambda_max.hex() == chain.lambda_max.hex()
 
 
 def _entry_bits(chain) -> list:
@@ -134,13 +134,11 @@ def test_the_three_front_doors_build_the_same_chain():
         assert chain.leaving == {s for s in chain.states if is_exactly_leaving(chain.row(s))}
         leaving_rows += len(chain.leaving)
         _same_build(chain_from_entries(chain.states, chain.entries), chain)
-        # a document lists each row's entries in state order, and the float
-        # sums behind lambda_max follow row order
+        # a document lists the entries in the chain's own order, so the float
+        # sums behind lambda_max come back bit for bit
         doc = dump_chain(chain)
-        order = {s: i for i, s in enumerate(chain.states)}
-        dumped = sorted(chain.entries.items(), key=lambda kv: (order[kv[0][0]], order[kv[0][1]]))
-        _same_build(load_chain(doc), chain_from_entries(chain.states, dict(dumped)))
-        _same_build(load_chain(json.loads(json.dumps(doc))), load_chain(doc))
+        _same_build(load_chain(doc), chain)
+        _same_build(load_chain(json.loads(json.dumps(doc))), chain)
     assert len(chains) >= 1210 and leaving_rows >= 500
 
 

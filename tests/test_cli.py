@@ -157,6 +157,28 @@ def test_position_rejects_bad_combinations(capsys):
     assert "unknown state" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("position", UNIT, "--t", "inf"),
+        ("position", UNIT, "--t", "nan"),
+        ("position", UNIT, "--t", "1e15", "--json"),
+        ("position", UNIT, "--t", "1e20"),
+        ("occupation", UNIT, "--t", "inf"),
+        ("occupation", UNIT, "--t", "nan", "--json"),
+        ("verify", UNIT, "--t", "inf", "--lambdas", "1e-2"),
+        ("verify", UNIT, "--t", "nan", "--lambdas", "1e-2"),
+    ],
+    ids=lambda argv: " ".join(a for a in argv if a != UNIT),
+)
+def test_a_bad_horizon_is_one_input_error_naming_t(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: t ")
+
+
 # ------------------------------------------------------------- occupation
 
 

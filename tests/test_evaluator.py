@@ -15,7 +15,8 @@ from markovscale import (
     occupation,
     position,
 )
-from markovscale.evaluator import expm, payoff_vector
+from markovscale import evaluator
+from markovscale.evaluator import HORIZON_ROW_TOL, expm, pade_degree_and_scaling, payoff_vector
 
 from helpers import fixture
 
@@ -48,8 +49,75 @@ def test_expm_degenerate_and_long_run_limits():
 def test_expm_rejects_bad_input():
     with pytest.raises(InputError):
         expm(np.zeros((2, 3)))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="non-finite"):
         expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
+    with pytest.raises(InputError, match="non-finite"):
+        expm(np.array([[-np.inf, 1.0], [0.0, 0.0]]))
+
+
+def _seeded_generators(rng, count):
+    """Generators and sub-generators (G - I) of 1 to 40 states: dense,
+    sparse with rates spread over eight decades, and funnels into one
+    state (whose 1-norm is about n times the exit rate).  The largest exit
+    rate is scaled to 10^u, u uniform in [-8, 6]."""
+    for i in range(count):
+        n = int(rng.integers(1, 41))
+        shape = i % 3
+        if shape == 0:
+            R = rng.exponential(size=(n, n))
+        elif shape == 1:
+            R = rng.exponential(size=(n, n)) * (rng.random((n, n)) < 0.2)
+            R *= 10.0 ** rng.uniform(-4, 4, (n, n))
+        else:
+            R = np.zeros((n, n))
+            R[:, 0] = rng.exponential(size=n)
+        np.fill_diagonal(R, 0.0)
+        G = R - np.diag(R.sum(axis=1))
+        rate = np.abs(np.diag(G)).max()
+        if rate > 0:
+            G *= 10.0 ** rng.uniform(-8, 6) / rate
+        yield G - np.eye(n) if i % 2 else G
+
+
+def test_expm_agrees_with_scipy_on_seeded_generators():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    degrees, squarings = {}, []
+    for G in _seeded_generators(np.random.default_rng(2005), 3000):
+        norm = np.abs(G).sum(axis=0).max()
+        m, s = pade_degree_and_scaling(norm)
+        degrees[m] = degrees.get(m, 0) + 1
+        squarings.append(s)
+        err = np.abs(expm(G) - scipy_linalg.expm(G)).max()
+        assert err <= 1e-12 * max(1.0, norm), (G.shape, norm, err)
+    # every degree is reached, and so are deep squarings
+    assert all(degrees.get(m, 0) >= 20 for m in (3, 5, 7, 9, 13)), degrees
+    assert sum(s >= 20 for s in squarings) >= 5, max(squarings)
+
+
+def test_expm_exact_cases():
+    for n in (1, 2, 5, 40):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+    for x in (-3.5, -1e-9, 0.0, 0.7, 20.0):
+        assert expm(np.array([[x]]))[0, 0] == math.exp(x)
+    # two states, rates a and b: e^(Gt) = (1 - e^(-(a+b)t)) pi + e^(-(a+b)t) I
+    for a, b, t in ((1.0, 1.0, 0.3), (0.2, 3.0, 1.0), (1e-6, 2.0, 10.0), (5.0, 7.0, 40.0)):
+        G = np.array([[-a, a], [b, -b]])
+        pi = np.array([[b, a], [b, a]]) / (a + b)
+        decay = math.exp(-(a + b) * t)
+        want = (1.0 - decay) * pi + decay * np.eye(2)
+        tol = 8 * np.finfo(float).eps * max(1.0, np.abs(G * t).sum(axis=0).max())
+        np.testing.assert_allclose(expm(G * t), want, rtol=0, atol=tol)
+
+
+def test_pade_degree_follows_the_theta_table():
+    assert pade_degree_and_scaling(0.0) == (3, 0)
+    assert pade_degree_and_scaling(0.0149) == (3, 0)
+    assert pade_degree_and_scaling(0.25) == (5, 0)
+    assert pade_degree_and_scaling(0.95) == (7, 0)
+    assert pade_degree_and_scaling(2.0) == (9, 0)
+    assert pade_degree_and_scaling(5.0) == (13, 0)
+    assert pade_degree_and_scaling(5.4) == (13, 1)
+    assert pade_degree_and_scaling(5.371920351148152 * 2**20) == (13, 20)
 
 
 # -------------------------------------------------------------- position
@@ -79,6 +147,42 @@ def test_position_argument_validation(eightstate):
         position(eightstate, fraction=1.0)
     with pytest.raises(InputError):
         position(eightstate, fraction=-0.1)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_position_rejects_a_horizon_that_is_not_finite(twostate, t):
+    with pytest.raises(InputError, match=r"\bt must be a finite number"):
+        position(twostate, t=t)
+
+
+@pytest.mark.parametrize("t", [1e15, 1e20])
+def test_position_rejects_a_horizon_too_long_for_double_precision(twostate, t):
+    # squaring the scaled approximant doubles its rounding defect each time:
+    # at t = 1e15 the rows of e^(At) sum to 1.25
+    with pytest.raises(InputError, match=r"^t = .* is too long a horizon"):
+        position(twostate, t=t)
+
+
+def test_position_keeps_a_long_horizon_the_rows_still_carry(twostate):
+    P = position(twostate, t=1e6)
+    np.testing.assert_allclose(P, np.full((2, 2), 0.5), atol=HORIZON_ROW_TOL)
+
+
+def test_horizon_rule_checks_the_class_level_rows(twostate, monkeypatch):
+    # a class-level e^(At) whose rows miss their sum by more than the
+    # tolerance is refused by every evaluator that exponentiates, naming t
+    exact = evaluator.expm
+    monkeypatch.setattr(evaluator, "expm", lambda A: exact(A) * (1.0 + 4 * HORIZON_ROW_TOL))
+    with pytest.raises(InputError, match=r"^t = 1.0 is too long a horizon"):
+        position(twostate, t=1.0)
+    with pytest.raises(InputError, match=r"^t = 1.0 is too long a horizon"):
+        occupation(twostate, t=1.0)
+    chain = load_chain(fixture("twostate_unit.json"))
+    with pytest.raises(InputError, match=r"^t = 1.0 is too long a horizon"):
+        critical_closed_form(chain, 1.0)
+    monkeypatch.setattr(evaluator, "expm", lambda A: exact(A) * (1.0 + HORIZON_ROW_TOL / 4))
+    position(twostate, t=1.0)
+    occupation(twostate, t=1.0)
 
 
 def test_two_state_position_matches_the_scalar_solution(twostate):
@@ -114,6 +218,12 @@ def test_finite_occupation_converges_to_the_total(eightstate):
     tot = occupation(eightstate, total=True).matrix
     occ = occupation(eightstate, t=50.0).matrix
     np.testing.assert_allclose(occ, tot, atol=1e-8)
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan])
+def test_occupation_rejects_a_horizon_that_is_not_finite(twostate, t):
+    with pytest.raises(InputError, match=r"\bt must be a finite number"):
+        occupation(twostate, t=t)
 
 
 def test_occupation_argument_validation(eightstate):
@@ -321,6 +431,15 @@ def test_critical_cycle_mixes_to_uniform():
     }
     E = critical_closed_form(load_chain(doc), 80.0)
     np.testing.assert_allclose(E, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
+
+
+def test_critical_closed_form_rejects_a_bad_horizon():
+    chain = load_chain(fixture("twostate_unit.json"))
+    for t in (math.inf, math.nan):
+        with pytest.raises(InputError, match=r"\bt must be a finite number"):
+            critical_closed_form(chain, t)
+    with pytest.raises(InputError, match=r"^t = .* is too long a horizon"):
+        critical_closed_form(chain, 1e15)
 
 
 def test_critical_closed_form_rejects_fast_entries():

@@ -238,3 +238,6 @@ def test_sweep_argument_validation():
         convergence_sweep(chain, model, 1.0, [1e-3, 1e-3])
     with pytest.raises(InputError, match="t"):
         convergence_sweep(chain, model, 0.0, [1e-3])
+    for t in (math.inf, math.nan):
+        with pytest.raises(InputError, match=r"^t must be a finite number > 0"):
+            convergence_sweep(chain, model, t, [1e-3])
