@@ -231,6 +231,8 @@ def absorbing_closed_form(chain: PerturbedChain, t: float) -> np.ndarray:
         raise InputError(
             f"absorbing closed form needs exactly one state with exits, found {len(active)}"
         )
+    if math.isnan(t):  # t = inf is meaningful here: the long-run split
+        raise InputError(f"t must be a number, got {t!r}")
     if t < 0:
         raise InputError(f"t must be >= 0, got {t!r}")
     src = active[0]

@@ -43,14 +43,55 @@ def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
     return Q
 
 
-def _check_rows(Q: np.ndarray, what: str, steps: int = 0) -> None:
+def _check_rows(Q: np.ndarray, what: str, steps: int = 0, mass: float = 1.0) -> None:
     # the instantiated matrix is stochastic only to machine precision, and a
     # power amplifies that defect linearly in the exponent, so the sanity
     # tolerance has to grow with the horizon (no renormalization is applied)
     tol = _ROW_SUM_TOL + 8.0 * np.finfo(float).eps * steps
-    err = np.abs(Q.sum(axis=1) - 1.0).max()
+    err = np.abs(Q.sum(axis=1) - mass).max()
     if err > tol:
-        raise InternalError(f"{what}: rows deviate from 1 by {err:g}")
+        raise InternalError(f"{what}: rows deviate from {mass:g} by {err:g}")
+
+
+def _power(Q: np.ndarray, t: float, lam: float, extra: int = 0) -> tuple[int, np.ndarray]:
+    """floor(t/lam) and Q to that power, shared by position and occupation."""
+    if not math.isfinite(t) or t < 0:
+        raise InputError(f"t must be a finite number >= 0, got {t!r}")
+    steps = math.floor(t / lam)
+    if steps + extra > MAX_POWER_STEPS:
+        raise ResourceError(f"horizon {steps} exceeds the power cap 2^62")
+    return steps, np.linalg.matrix_power(Q, steps)
+
+
+def _resolvent(Q: np.ndarray, lam: float) -> np.ndarray:
+    """lam * (Id - (1-lam) Q)^-1 by one LU solve, conditioned like 1/lam."""
+    if not 0.0 < lam < 1.0:
+        raise InputError(f"lambda must lie in (0, 1), got {lam!r}")
+    try:
+        R = np.linalg.solve(np.eye(len(Q)) - (1.0 - lam) * Q, lam * np.eye(len(Q)))
+    except np.linalg.LinAlgError:
+        raise InternalError("resolvent system is singular") from None
+    _check_rows(R, "discounted resolvent", steps=math.ceil(1.0 / lam))
+    return R
+
+
+def _averaged(Q: np.ndarray, Qs: np.ndarray, steps: int, n_avg: int) -> np.ndarray:
+    """Mean of Q^(steps+r) over r = 1..n_avg, from Qs = Q^steps."""
+    acc = np.zeros_like(Qs)
+    for _ in range(n_avg):
+        Qs = Qs @ Q
+        acc += Qs
+    acc /= n_avg
+    _check_rows(acc, "averaged matrix power", steps=steps + n_avg)
+    return acc
+
+
+def _partial(R: np.ndarray, Qs: np.ndarray, lam: float, steps: int) -> np.ndarray:
+    """R - (1-lam)^steps R Q^steps, exact because R commutes with Q."""
+    decay = (1.0 - lam) ** steps
+    D = R - decay * (R @ Qs)
+    _check_rows(D, "discounted partial sum", steps=steps + math.ceil(1.0 / lam), mass=1.0 - decay)
+    return D
 
 
 def matrix_power_position(Q: np.ndarray, t: float, lam: float, n_avg: int) -> np.ndarray:
@@ -58,62 +99,23 @@ def matrix_power_position(Q: np.ndarray, t: float, lam: float, n_avg: int) -> np
     Q^(floor(t/lam)+r) over r = 1..n_avg."""
     if lam <= 0:
         raise InputError(f"lambda must be > 0, got {lam!r}")
-    if t < 0:
-        raise InputError(f"t must be >= 0, got {t!r}")
     if n_avg < 1:
         raise InputError(f"averaging period must be >= 1, got {n_avg!r}")
-    steps = math.floor(t / lam)
-    if steps + n_avg > MAX_POWER_STEPS:
-        raise ResourceError(f"horizon {steps} exceeds the power cap 2^62")
-    P = np.linalg.matrix_power(Q, steps + 1)
-    acc = P.copy()
-    for _ in range(n_avg - 1):
-        P = P @ Q
-        acc += P
-    acc /= n_avg
-    _check_rows(acc, "averaged matrix power", steps=steps + n_avg)
-    return acc
-
-
-def _geometric_sum(B: np.ndarray, n: int) -> np.ndarray:
-    """sum_{m=0}^{n-1} B^m by binary doubling over the bits of n, carrying the
-    pair (S_k, B^k): S_2k = S_k + B^k S_k and S_{k+1} = S_k + B^k, so the cost
-    is O(log n) matrix products."""
-    if n == 0:
-        return np.zeros_like(B)
-    S, P = np.eye(B.shape[0]), B  # k = 1, the leading bit of n
-    for bit in bin(n)[3:]:
-        S = S + P @ S
-        P = P @ P
-        if bit == "1":
-            S = S + P
-            P = P @ B
-    return S
+    steps, Qs = _power(Q, t, lam, n_avg)
+    return _averaged(Q, Qs, steps, n_avg)
 
 
 def discounted_sum(Q: np.ndarray, lam: float, t: float | None = None, total: bool = False) -> np.ndarray:
     """Discounted occupation at discount lambda: the partial sum
     lam * sum_{m<floor(t/lam)} ((1-lam) Q)^m, or the full resolvent
     lam * (Id - (1-lam) Q)^-1 when total=True."""
-    if not 0.0 < lam < 1.0:
-        raise InputError(f"lambda must lie in (0, 1), got {lam!r}")
     if total == (t is not None):
         raise InputError("give exactly one of t and total")
-    n = Q.shape[0]
-    B = (1.0 - lam) * Q
+    R = _resolvent(Q, lam)
     if total:
-        try:
-            R = np.linalg.solve(np.eye(n) - B, lam * np.eye(n))
-        except np.linalg.LinAlgError:
-            raise InternalError("resolvent system is singular") from None
-        _check_rows(R, "discounted resolvent", steps=math.ceil(1.0 / lam))
         return R
-    if t < 0:
-        raise InputError(f"t must be >= 0, got {t!r}")
-    steps = math.floor(t / lam)
-    if steps > MAX_POWER_STEPS:
-        raise ResourceError(f"horizon {steps} exceeds the power cap 2^62")
-    return lam * _geometric_sum(B, steps)
+    steps, Qs = _power(Q, t, lam)
+    return _partial(R, Qs, lam, steps)
 
 
 @dataclass
@@ -150,18 +152,16 @@ def convergence_sweep(chain: PerturbedChain, model: LimitModel, t: float, lambda
 
     entries = []
     for lam in lambdas:
+        # one power and one LU per lambda feed all three quantities
         Q = instantiate(chain, lam)
-        pos_err = np.abs(matrix_power_position(Q, t, lam, model.N) - pos_model).max()
-        occ_err = np.abs(discounted_sum(Q, lam, t=t) - occ_model).max()
-        tot_err = np.abs(discounted_sum(Q, lam, total=True) - tot_model).max()
-        entries.append(
-            {
-                "lambda": lam,
-                "position_err": float(pos_err),
-                "occupation_t_err": float(occ_err),
-                "total_err": float(tot_err),
-            }
-        )
+        steps, Qs = _power(Q, t, lam, model.N)
+        R = _resolvent(Q, lam)
+        entries.append({
+            "lambda": lam,
+            "position_err": float(np.abs(_averaged(Q, Qs, steps, model.N) - pos_model).max()),
+            "occupation_t_err": float(np.abs(_partial(R, Qs, lam, steps) - occ_model).max()),
+            "total_err": float(np.abs(R - tot_model).max()),
+        })
     return SweepDiagnostics(
         entries=entries,
         position_non_increasing=_non_increasing([e["position_err"] for e in entries]),

@@ -27,8 +27,10 @@ from markovscale.asymptotics import (
     parse_exponent,
 )
 from markovscale.chain_model import leaves_exactly, read_number
+from markovscale.evaluator import occupation, position
 from markovscale.games import load_game
 from markovscale.hierarchy import build_level, next_threshold
+from markovscale.oracle import instantiate
 from markovscale.structure import classify
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -457,6 +459,58 @@ def cesaro_payoff(Q: np.ndarray, g: np.ndarray, offset: int, count: int) -> np.n
         acc += P @ g
         P = P @ Q
     return acc / count
+
+
+# ---------------------------------------------------- frozen oracle sweep
+#
+# The numeric oracle as it stood before the sweep shared one matrix power and
+# one LU solve per lambda: the position from its own power Q^(steps+1), the
+# finite-horizon occupation as a binary-doubling geometric sum, and the total
+# occupation from a separate solve.
+
+
+def geometric_sum(B: np.ndarray, n: int) -> np.ndarray:
+    """sum_{m=0}^{n-1} B^m by binary doubling over the bits of n, carrying the
+    pair (S_k, B^k): S_2k = S_k + B^k S_k and S_{k+1} = S_k + B^k, so the cost
+    is O(log n) matrix products."""
+    if n == 0:
+        return np.zeros_like(B)
+    S, P = np.eye(B.shape[0]), B  # k = 1, the leading bit of n
+    for bit in bin(n)[3:]:
+        S = S + P @ S
+        P = P @ P
+        if bit == "1":
+            S = S + P
+            P = P @ B
+    return S
+
+
+def frozen_convergence_sweep(chain, model: LimitModel, t: float, lambdas) -> list:
+    """The `entries` of `convergence_sweep(chain, model, t, lambdas)`, computed
+    by the frozen oracle."""
+    pos_model = position(model, t=t)
+    occ_model = occupation(model, t=t).matrix
+    tot_model = occupation(model, total=True).matrix
+    entries = []
+    for lam in lambdas:
+        Q = instantiate(chain, lam)
+        steps = math.floor(t / lam)
+        P = np.linalg.matrix_power(Q, steps + 1)
+        acc = P.copy()
+        for _ in range(model.N - 1):
+            P = P @ Q
+            acc += P
+        acc /= model.N
+        B = (1.0 - lam) * Q
+        part = lam * geometric_sum(B, steps)
+        tot = np.linalg.solve(np.eye(len(Q)) - B, lam * np.eye(len(Q)))
+        entries.append({
+            "lambda": lam,
+            "position_err": float(np.abs(acc - pos_model).max()),
+            "occupation_t_err": float(np.abs(part - occ_model).max()),
+            "total_err": float(np.abs(tot - tot_model).max()),
+        })
+    return entries
 
 
 # ------------------------------------------------- frozen reference ladder

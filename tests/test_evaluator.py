@@ -372,6 +372,21 @@ def test_absorbing_closed_form_splits_a_tie_by_coefficient():
         )
 
 
+def test_absorbing_closed_form_refuses_nan_and_keeps_the_long_run_split():
+    chain = absorbing(
+        {
+            "states": ["a", "b", "c"],
+            "transitions": [
+                {"from": "a", "to": "b", "coeff": 0.5, "exp": "1"},
+                {"from": "a", "to": "c", "coeff": 0.25, "exp": "1"},
+            ],
+        }
+    )
+    with pytest.raises(InputError, match=r"^t must be a number, got nan"):
+        absorbing_closed_form(chain, math.nan)
+    np.testing.assert_allclose(absorbing_closed_form(chain, math.inf), [0.0, 2 / 3, 1 / 3], rtol=1e-15, atol=0)
+
+
 def test_absorbing_closed_form_agrees_with_the_general_pipeline():
     doc = {
         "states": ["o", "a", "b", "c"],

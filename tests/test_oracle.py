@@ -1,22 +1,34 @@
 """Brute-force finite-lambda references: instantiation, averaged powers,
 discounted sums, and the convergence sweep harness."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from markovscale import InputError, ResourceError, analyze, chain_from_entries, load_chain, monomial
+from markovscale import (
+    InputError,
+    InternalError,
+    ResourceError,
+    analyze,
+    chain_from_entries,
+    load_chain,
+    monomial,
+)
+from markovscale import oracle
+from markovscale.games import compile_game, load_game
 from markovscale.oracle import (
     MAX_POWER_STEPS,
-    _geometric_sum,
     convergence_sweep,
     discounted_sum,
     instantiate,
     matrix_power_position,
 )
 
-from helpers import fixture
+import helpers
+from helpers import fixture, frozen_convergence_sweep, geometric_sum
 
 
 def flip_chain():
@@ -132,6 +144,24 @@ def test_power_cap_guards_absurd_horizons():
         matrix_power_position(np.eye(2), 1.0, 1e-19, 1)
 
 
+def test_power_position_matches_the_plain_loop_for_every_small_count():
+    # lam = 2^-4, so t = k * lam gives exactly k steps
+    lam = 0.0625
+    Q = _substochastic(2, lam=0.0)
+    for n_avg in (1, 2, 3):
+        power = np.eye(4)
+        for k in range(40):
+            want = sum(power @ np.linalg.matrix_power(Q, r) for r in range(1, n_avg + 1)) / n_avg
+            np.testing.assert_allclose(matrix_power_position(Q, k * lam, lam, n_avg), want, rtol=1e-10)
+            power = power @ Q
+
+
+def test_power_position_refuses_a_non_finite_t():
+    for t in (math.inf, math.nan):
+        with pytest.raises(InputError, match=r"^t must be a finite number >= 0"):
+            matrix_power_position(np.eye(2), t, 1e-3, 1)
+
+
 # ----------------------------------------------------------- discounted sum
 
 
@@ -186,7 +216,7 @@ def test_geometric_sum_matches_the_plain_loop_for_every_small_count():
     want = np.zeros_like(B)
     power = np.eye(4)
     for n in range(71):
-        np.testing.assert_allclose(_geometric_sum(B, n), want, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(geometric_sum(B, n), want, rtol=1e-10, atol=0)
         want = want + power
         power = power @ B
 
@@ -195,7 +225,39 @@ def test_geometric_sum_matches_the_closed_form_at_a_long_horizon():
     B = _substochastic(5)
     n = 10**4
     want = (np.eye(4) - np.linalg.matrix_power(B, n)) @ np.linalg.inv(np.eye(4) - B)
-    np.testing.assert_allclose(_geometric_sum(B, n), want, rtol=1e-10)
+    np.testing.assert_allclose(geometric_sum(B, n), want, rtol=1e-10)
+
+
+def test_partial_sum_matches_the_geometric_sum_for_every_small_count():
+    # lam = 2^-4, so t = k * lam gives exactly k steps
+    lam = 0.0625
+    Q = _substochastic(6, lam=0.0)
+    for k in range(71):
+        want = lam * geometric_sum((1.0 - lam) * Q, k)
+        np.testing.assert_allclose(discounted_sum(Q, lam, t=k * lam), want, rtol=1e-12, atol=1e-15)
+
+
+def test_partial_sum_rows_are_checked_against_the_discounted_mass(monkeypatch):
+    # rows of lam * sum_{m<steps} ((1-lam) Q)^m sum to 1 - (1-lam)^steps; a
+    # matrix power whose rows are off moves that mass by (1-lam)^steps times
+    # as much, and the check must refuse a miss of 4x its tolerance
+    lam, t = 1e-3, 1.0
+    steps = 1000
+    decay = (1.0 - lam) ** steps
+    tol = oracle._ROW_SUM_TOL + 8.0 * np.finfo(float).eps * (steps + 1000)
+    Q = _substochastic(8, n=3, lam=0.0)
+    real_power = np.linalg.matrix_power
+
+    def patch(miss):
+        monkeypatch.setattr(np.linalg, "matrix_power",
+                            lambda M, k: real_power(M, k) + miss / decay / len(M))
+
+    patch(4.0 * tol)
+    with pytest.raises(InternalError, match="discounted partial sum"):
+        discounted_sum(Q, lam, t=t)
+    patch(0.25 * tol)
+    D = discounted_sum(Q, lam, t=t)
+    assert np.abs(D.sum(axis=1) - (1.0 - decay)).max() > 0.2 * tol
 
 
 def test_discounted_sum_argument_validation():
@@ -207,6 +269,9 @@ def test_discounted_sum_argument_validation():
         discounted_sum(np.eye(2), 0.0, total=True)
     with pytest.raises(InputError):
         discounted_sum(np.eye(2), 1e-3, t=-1.0)
+    for t in (math.inf, math.nan):
+        with pytest.raises(InputError, match=r"^t must be a finite number >= 0"):
+            discounted_sum(np.eye(2), 1e-3, t=t)
 
 
 # ------------------------------------------------------- convergence sweep
@@ -241,3 +306,40 @@ def test_sweep_argument_validation():
     for t in (math.inf, math.nan):
         with pytest.raises(InputError, match=r"^t must be a finite number > 0"):
             convergence_sweep(chain, model, t, [1e-3])
+
+
+#: every lambda the acceptance and oracle tests sweep at; a sweep entry
+#: depends on its own lambda only, so one sweep over the union covers them
+SWEPT_LAMBDAS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-12)
+
+
+def test_sweep_matches_the_frozen_oracle(monkeypatch):
+    # the sweep builds all three quantities from one Q^steps and one LU; the
+    # frozen oracle forms Q^(steps+1), a binary-doubling geometric sum and a
+    # separate solve.  The three errors must agree within eps * max(1, 1/lam),
+    # the ~1/lam conditioning of the resolvent both share.  Over 3,250 seeded
+    # chains of the generators below the largest difference was 0.2 times
+    # that bound (occupation_t_err, lambda 1e-5 and 1e-6).
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    chains = [load_chain(fixture(f"{name}.json")) for name in helpers.CHAIN_FIXTURES]
+    docs = [json.loads(Path(fixture(f"{name}.json")).read_text()) for name in helpers.GAME_FIXTURES]
+    docs += [json.loads(job.text) for seed in (7, 11)
+             for job in workloads.make_inputs("game_verify", seed, tiny=True)]
+    chains += [compile_game(*load_game(doc))[0] for doc in docs]
+    rng = np.random.default_rng(2026)
+    makers = (helpers.random_chain, helpers.random_periodic_chain, helpers.random_trap_chain,
+              helpers.random_nested_chain, helpers.random_critical_chain)
+    chains += [makers[i % len(makers)](rng) for i in range(250)]
+    eps = np.finfo(float).eps
+    for chain in chains:
+        lambdas = [lam for lam in SWEPT_LAMBDAS if lam <= chain.lambda_max]
+        model = analyze(chain)
+        new = convergence_sweep(chain, model, 1.0, lambdas).entries
+        old = frozen_convergence_sweep(chain, model, 1.0, lambdas)
+        for a, b in zip(new, old, strict=True):
+            assert a["lambda"] == b["lambda"]
+            bound = eps * max(1.0, 1.0 / a["lambda"])
+            for key in ("position_err", "occupation_t_err", "total_err"):
+                assert abs(a[key] - b[key]) <= bound, (chain.states, a["lambda"], key)
