@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -141,12 +142,11 @@ class TickScale:
     """Exact exponents as ints.  The exponent p/q is the tick p * (D // q),
     D being the lcm of the denominators the scale is made for; sums of
     exponents become sums of ticks.  Ticks turn back into public `Fraction`
-    exponents and monomials here, one object per distinct value."""
+    exponents here, one object per distinct value."""
 
     def __init__(self, denominators):
         self.D = math.lcm(*denominators)
         self._fractions: dict = {INF: INF}
-        self._monomials: dict[tuple, Monomial] = {}
 
     def tick(self, p: int, q: int) -> int:
         """The tick of the exponent p/q; q must divide D."""
@@ -159,13 +159,35 @@ class TickScale:
             f = self._fractions[t] = Fraction(t, self.D)
         return f
 
-    def monomial(self, coeff: float, t) -> Monomial:
-        """The public monomial coeff * lam**(t/D)."""
-        key = (coeff, t)
-        m = self._monomials.get(key)
-        if m is None:
-            m = self._monomials[key] = Monomial(coeff, self.fraction(t))
-        return m
+
+class PublicTable(Mapping):
+    """Read-only view of a table on ticks (key -> {target -> Monomial(coeff,
+    tick)}) that hands out each row with the `Fraction` exponents of `scale`,
+    converting a row when it is first read."""
+
+    def __init__(self, rows: dict, scale: TickScale):
+        self._rows = rows
+        self._fraction = scale.fraction
+        self._public: dict = {}
+
+    def __getitem__(self, key) -> dict:
+        row = self._public.get(key)
+        if row is None:
+            row = self._public[key] = {v: Monomial(m.coeff, self._fraction(m.exp))
+                                       for v, m in self._rows[key].items()}
+        return row
+
+    def __contains__(self, key) -> bool:
+        return key in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def mono_sum(terms) -> Monomial:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
-from .asymptotics import INF, Exponent, Monomial, TickScale, format_exponent, parse_exponent
+from .asymptotics import INF, Exponent, Monomial, PublicTable, TickScale, format_exponent, parse_exponent
 from .errors import ChainFormatError, InputError
 
 #: rows whose exponent-0 coefficients sum to within this of 1 are treated as
@@ -28,28 +29,31 @@ _TRANSITION_KEYS = {"from", "to", "coeff", "exp"}
 
 @dataclass
 class PerturbedChain:
-    """A validated chain, made by `build_chain`.  `scale` is the chain's
-    exponent scale, `ticks` each entry's exponent as an int tick of that
-    scale, and `leaving` the exactly-leaving states."""
+    """A validated chain, made by `build_chain`.  `tick_rows` is its one
+    entry table, state -> {target -> Monomial(coeff, tick)}, each exponent
+    an int tick of the chain's exponent `scale`; `leaving` holds the
+    exactly-leaving states.  `row(s)` and `entries` are read-only views of
+    `tick_rows` with public `Fraction` exponents."""
 
     states: tuple[str, ...]
-    entries: dict[tuple[str, str], Monomial]
+    tick_rows: dict[str, dict[str, Monomial]] = field(repr=False)
     lambda_max: float
     scale: TickScale = field(repr=False)
-    ticks: dict[tuple[str, str], int] = field(repr=False)
     leaving: frozenset[str]
     index: dict[str, int] = field(default_factory=dict, repr=False)
-    _rows: dict[str, dict[str, Monomial]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.states)}
-        self._rows = {s: {} for s in self.states}
-        for (src, dst), m in self.entries.items():
-            self._rows[src][dst] = m
+        self._public = PublicTable(self.tick_rows, self.scale)
 
     def row(self, state: str) -> dict[str, Monomial]:
         """Off-diagonal entries leaving `state` (possibly empty)."""
-        return self._rows[state]
+        return self._public[state]
+
+    @cached_property
+    def entries(self) -> dict[tuple[str, str], Monomial]:
+        """All off-diagonal entries, in state order and then row order."""
+        return {(s, d): m for s in self.states for d, m in self.row(s).items()}
 
     @property
     def n_states(self) -> int:
@@ -66,19 +70,19 @@ def leaves_exactly(mass0: float) -> bool:
 
 
 def _row_lambda_max(state: str, row: dict, D: int, cap: float) -> float:
-    """Largest lam in (0, 1] keeping the implied diagonal of a row of
-    `(coeff, tick)` pairs that does not leave exactly nonnegative, or `cap`
-    if the diagonal is still nonnegative there.  The diagonal does not
-    increase with lam, so such a row cannot bring a running minimum below
-    `cap`; rows that can are bisected on all of (0, 1]."""
+    """Largest lam in (0, 1] keeping the implied diagonal of a tick row that
+    does not leave exactly nonnegative, or `cap` if the diagonal is still
+    nonnegative there.  The diagonal does not increase with lam, so such a
+    row cannot bring a running minimum below `cap`; rows that can are
+    bisected on all of (0, 1]."""
     if not row:
         return 1.0
     # c * lam**0.0 == c, so this matches mono_eval term by term; t / D is
     # the correctly rounded float of the exponent, as float(Fraction) is
     terms = []
-    for dst, (c, t) in row.items():
+    for dst, m in row.items():
         try:
-            terms.append((c, t / D))
+            terms.append((m.coeff, m.exp / D))
         except OverflowError:
             raise ChainFormatError(
                 f"transition {state!r} -> {dst!r}: exponent is too large for a float"
@@ -104,8 +108,9 @@ def _row_lambda_max(state: str, row: dict, D: int, cap: float) -> float:
 def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
     """The one chain builder.  `entries` maps `(from, to)` to `(coeff,
     tick)`, with ticks >= 0 on `scale`; entries with coefficient 0 are
-    dropped.  Validates the states and coefficients, judges each row's
-    exponent-0 mass once (`leaves_exactly`) and finds `lambda_max`."""
+    dropped.  Validates the states and coefficients, stores the entries
+    once as `tick_rows`, judges each row's exponent-0 mass once
+    (`leaves_exactly`) and finds `lambda_max`."""
     states = tuple(states)
     if not states:
         raise ChainFormatError("chain has an empty state set")
@@ -117,7 +122,7 @@ def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
             raise ChainFormatError(f"duplicate state name {s!r}")
         seen.add(s)
 
-    rows: dict[str, dict[str, tuple[float, int]]] = {s: {} for s in states}
+    rows: dict[str, dict[str, Monomial]] = {s: {} for s in states}
     for (src, dst), (c, t) in entries.items():
         if src not in seen:
             raise ChainFormatError(f"transition from unknown state {src!r}")
@@ -129,23 +134,23 @@ def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
             )
         if c == 0.0:
             continue  # zero entries are simply absent
-        if c <= 0:
+        if not 0 < c < INF:  # NaN fails too
             raise ChainFormatError(
-                f"transition {src!r} -> {dst!r}: coefficient must be > 0, got {c!r}"
+                f"transition {src!r} -> {dst!r}: coefficient must be finite and > 0, got {c!r}"
             )
-        rows[src][dst] = (c, t)
+        rows[src][dst] = Monomial(c, t)
 
     lambda_max = 1.0
     leaving = []
     for s in states:
         row = rows[s]
-        mass0 = sum(c for c, t in row.values() if t == 0)  # in row order
+        mass0 = sum(m.coeff for m in row.values() if m.exp == 0)  # in row order
         if mass0 > 1.0 + EXACT_LEAVING_TOL:
             raise ChainFormatError(
                 f"row {s!r}: exponent-0 coefficients sum to {mass0!r} > 1"
             )
         if leaves_exactly(mass0):
-            if any(t > 0 for _, t in row.values()):
+            if any(m.exp > 0 for m in row.values()):
                 raise ChainFormatError(
                     f"row {s!r}: exponent-0 coefficients already sum to 1, "
                     "so the extra positive-exponent entries leave no feasible lambda"
@@ -154,10 +159,8 @@ def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
         else:
             lambda_max = min(lambda_max, _row_lambda_max(s, row, scale.D, lambda_max))
 
-    flat = {(s, d): scale.monomial(c, t) for s in states for d, (c, t) in rows[s].items()}
-    ticks = {(s, d): t for s in states for d, (_, t) in rows[s].items()}
-    return PerturbedChain(states=states, entries=flat, lambda_max=lambda_max, scale=scale,
-                          ticks=ticks, leaving=frozenset(leaving))
+    return PerturbedChain(states=states, tick_rows=rows, lambda_max=lambda_max, scale=scale,
+                          leaving=frozenset(leaving))
 
 
 def chain_from_entries(

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import Exponent, Monomial, TickScale, monomial, parse_exponent
+from .asymptotics import INF, Exponent, Monomial, TickScale, parse_exponent
 from .chain_model import PerturbedChain, build_chain, leaves_exactly, read_json_file, read_number
 from .errors import ChainFormatError
 from .evaluator import limit_payoff
@@ -136,7 +136,7 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
                             f"transition[{s!r}][{a1!r}][{a2!r}] targets unknown state {dest!r}"
                         )
                     p = read_number(p, "transition[%r][%r][%r][%r]", s, a1, a2, dest)
-                    if p < 0:
+                    if not p >= 0:  # NaN fails too
                         raise ChainFormatError(
                             f"transition[{s!r}][{a1!r}][{a2!r}][{dest!r}] must be a probability"
                         )
@@ -178,13 +178,13 @@ def _load_strategy(spec, actions, who) -> Strategy:
                 )
             coeff = read_number(doc["coeff"], "%s[%r][%r]: 'coeff'", who, s, a)
             text = doc["exp"]
-            try:
-                exp = parsed.get(text) if isinstance(text, str) else None
-                if exp is None:
+            exp = parsed.get(text) if isinstance(text, str) else None
+            if exp is None:
+                try:
                     exp = parsed[text] = parse_exponent(text)
-                row[a] = monomial(coeff, exp)
-            except ValueError as exc:
-                raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
+                except ValueError as exc:
+                    raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
+            row[a] = Monomial(coeff, exp)
         out[s] = row
     validate_strategy(out, actions, who)
     return out
@@ -192,8 +192,8 @@ def _load_strategy(spec, actions, who) -> Strategy:
 
 def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> dict[str, list]:
     """A regular strategy family maps every state to weights on that state's
-    actions.  Every weight is positive with a finite rational exponent >= 0,
-    and the exponent-0 weights sum to 1 (the limit mixture).
+    actions.  Every weight is finite and positive with a finite rational
+    exponent >= 0, and the exponent-0 weights sum to 1 (the limit mixture).
 
     Checked in one pass over the weights, which returns each state's weights
     in row order as `(action, index of the action in actions[s], coeff,
@@ -215,6 +215,8 @@ def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> dic
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
                 )
+            if m.coeff == INF:
+                raise ChainFormatError(f"{who}[{s!r}][{a!r}] must have a finite weight, got inf")
             if not isinstance(e, (int, Fraction)):
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must have a finite rational exponent, got {e!r}"

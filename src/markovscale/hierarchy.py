@@ -36,7 +36,7 @@ from .asymptotics import (
     ZERO,
     Exponent,
     Monomial,
-    TickScale,
+    PublicTable,
     format_exponent,
     mono_add,
     mono_mul,
@@ -71,35 +71,6 @@ class HierarchyLevel:
     parent: dict[Node, Node]
 
 
-class _PublicTable(Mapping):
-    """Read-only view of a ladder table (node -> row on ticks) that hands out
-    each row with the public monomials of `scale`, when the row is first read."""
-
-    def __init__(self, rows: dict, scale: TickScale):
-        self._rows = rows
-        self._monomial = scale.monomial
-        self._public: dict = {}
-
-    def __getitem__(self, node):
-        row = self._public.get(node)
-        if row is None:
-            pub = self._monomial
-            row = self._public[node] = {v: pub(m.coeff, m.exp) for v, m in self._rows[node].items()}
-        return row
-
-    def __contains__(self, node) -> bool:
-        return node in self._rows
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
 @dataclass
 class LimitModel:
     """Asymptotic occupation structure of a perturbed chain."""
@@ -119,12 +90,11 @@ class LimitModel:
 
 
 def _base_level(chain: PerturbedChain) -> HierarchyLevel:
-    """Level 0, every state a node, on the chain's ticks."""
+    """Level 0, every state a node: the chain's `tick_rows` keyed by node."""
     nodes = [(s,) for s in chain.states]
     node_of = dict(zip(chain.states, nodes))
-    agg: dict[Node, dict[Node, Monomial]] = {n: {} for n in nodes}
-    for ((src, dst), m), t in zip(chain.entries.items(), chain.ticks.values()):
-        agg[node_of[src]][node_of[dst]] = Monomial(m.coeff, t)
+    agg = {node_of[s]: {node_of[d]: m for d, m in row.items()}
+           for s, row in chain.tick_rows.items()}
     return HierarchyLevel(
         index=0,
         alpha=None,
@@ -278,7 +248,8 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     levels = [base]
     current = base
     alphas: list[int] = []
-    guard = chain.n_states * max(1, len(set(chain.ticks.values()))) + 1
+    ticks = {m.exp for row in chain.tick_rows.values() for m in row.values()}
+    guard = chain.n_states * max(1, len(ticks)) + 1
     terminal = None
     for _ in range(guard):
         alpha = next_threshold(current)
@@ -347,8 +318,8 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     for level in levels:
         if level.alpha is not None:
             level.alpha = frac(level.alpha)
-        level.measures = _PublicTable(level.measures, scale)
-        level.aggregated = _PublicTable(level.aggregated, scale)
+        level.measures = PublicTable(level.measures, scale)
+        level.aggregated = PublicTable(level.aggregated, scale)
 
     return LimitModel(
         chain=chain,

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import mono_eval
 from .chain_model import PerturbedChain
 from .errors import InputError, InternalError, ResourceError
 from .evaluator import occupation, position
@@ -24,16 +23,19 @@ _ROW_SUM_TOL = 1e-9
 def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
     """Concrete stochastic matrix Q_lam (diagonal implied by the rows).  The
     rows of the chain's exactly-leaving states are scaled to sum to one and
-    get a zero diagonal, as the model assumes of them."""
+    get a zero diagonal, as the model assumes of them.  An entry c * lam**e
+    is evaluated on its tick t as c * lam**(t / D): t / D is the correctly
+    rounded float of e, and lam**0.0 == 1."""
     if not 0.0 < lam <= chain.lambda_max * (1.0 + 1e-12):
         raise InputError(
             f"lambda {lam!r} outside the feasible range (0, {chain.lambda_max!r}]"
         )
-    n = chain.n_states
+    n, D, index = chain.n_states, chain.scale.D, chain.index
     Q = np.zeros((n, n))
-    for (src, dst), m in chain.entries.items():
-        Q[chain.index[src], chain.index[dst]] = mono_eval(m, lam)
-    leaving = [chain.index[s] for s in chain.leaving]
+    for src, row in chain.tick_rows.items():
+        for dst, m in row.items():
+            Q[index[src], index[dst]] = m.coeff * lam ** (m.exp / D)
+    leaving = [index[s] for s in chain.leaving]
     Q[leaving] /= Q[leaving].sum(axis=1, keepdims=True)
     diag = 1.0 - Q.sum(axis=1)
     diag[leaving] = 0.0

@@ -30,7 +30,6 @@ from markovscale.chain_model import leaves_exactly, read_number
 from markovscale.evaluator import occupation, position
 from markovscale.games import load_game
 from markovscale.hierarchy import build_level, next_threshold
-from markovscale.oracle import instantiate
 from markovscale.structure import classify
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -485,6 +484,22 @@ def geometric_sum(B: np.ndarray, n: int) -> np.ndarray:
     return S
 
 
+def reference_instantiate(chain, lam: float) -> np.ndarray:
+    """Q_lam entry by entry from the chain's public `Fraction` monomials
+    through `mono_eval`, with the exactly-leaving rows scaled to sum to one
+    and given a zero diagonal: a slow reference for `oracle.instantiate`."""
+    n = chain.n_states
+    Q = np.zeros((n, n))
+    for (src, dst), m in chain.entries.items():
+        Q[chain.index[src], chain.index[dst]] = mono_eval(m, lam)
+    leaving = [chain.index[s] for s in chain.leaving]
+    Q[leaving] /= Q[leaving].sum(axis=1, keepdims=True)
+    diag = 1.0 - Q.sum(axis=1)
+    diag[leaving] = 0.0
+    np.fill_diagonal(Q, np.clip(diag, 0.0, None))
+    return Q
+
+
 def frozen_convergence_sweep(chain, model: LimitModel, t: float, lambdas) -> list:
     """The `entries` of `convergence_sweep(chain, model, t, lambdas)`, computed
     by the frozen oracle."""
@@ -493,7 +508,7 @@ def frozen_convergence_sweep(chain, model: LimitModel, t: float, lambdas) -> lis
     tot_model = occupation(model, total=True).matrix
     entries = []
     for lam in lambdas:
-        Q = instantiate(chain, lam)
+        Q = reference_instantiate(chain, lam)
         steps = math.floor(t / lam)
         P = np.linalg.matrix_power(Q, steps + 1)
         acc = P.copy()

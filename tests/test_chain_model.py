@@ -103,14 +103,18 @@ def _entry_bits(chain) -> list:
 
 def _same_build(chain, want) -> None:
     """`chain` has `want`'s entries in order, bit for bit, its `lambda_max`
-    bits and its exactly-leaving states, and its ticks are its exponents."""
+    bits and its exactly-leaving states, and its `entries` view lists its
+    `tick_rows` in order, each tick being its exponent."""
     assert chain.states == want.states
     assert _entry_bits(chain) == _entry_bits(want)
     assert chain.lambda_max.hex() == want.lambda_max.hex()
     assert chain.leaving == want.leaving
-    assert list(chain.ticks) == list(chain.entries)
+    assert list(chain.tick_rows) == list(chain.states)
+    ticks = {(s, d): m for s, row in chain.tick_rows.items() for d, m in row.items()}
+    assert list(ticks) == list(chain.entries)
     for key, m in chain.entries.items():
-        assert chain.scale.fraction(chain.ticks[key]) == m.exp
+        assert ticks[key].coeff.hex() == m.coeff.hex()
+        assert chain.scale.fraction(ticks[key].exp) == m.exp
 
 
 def test_the_three_front_doors_build_the_same_chain():
@@ -292,6 +296,12 @@ def test_builder_rejects_exponents_that_are_not_nonnegative_rationals(exp):
     # the ladder scales exponents by their common denominator
     with pytest.raises(ChainFormatError, match="finite rational >= 0"):
         chain_from_entries(["a", "b"], {("a", "b"): Monomial(0.5, exp)})
+
+
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -0.5])
+def test_builder_rejects_coefficients_that_are_not_finite_and_positive(coeff):
+    with pytest.raises(ChainFormatError, match="coefficient must be finite and > 0"):
+        chain_from_entries(["a", "b"], {("a", "b"): Monomial(coeff, F(1))})
 
 
 def test_dump_chain_is_deterministic_json():

@@ -79,6 +79,10 @@ def broken(mutate):
             lambda d: d["transition"]["s"]["move"]["L"].update(t=-1.0),
             "probability",
         ),
+        (
+            lambda d: d["transition"]["s"]["move"]["L"].update(t=math.nan),
+            r"transition\['s'\]\['move'\]\['L'\]\['t'\] must be a probability",
+        ),
         (lambda d: d["strategy1"].pop("s"), "every state"),
         (lambda d: d["strategy1"].update(s={}), "nonempty"),
         (
@@ -178,6 +182,10 @@ STRATEGY_RULES = [
         lambda d: d["strategy2"]["s"]["R"].update(coeff=0.6),
         "strategy2['s']: exponent-0 weights sum to 1.1, not 1",
     ),
+    (
+        lambda d: d["strategy1"]["s"]["move"].update(coeff=math.inf),
+        "strategy1['s']['move'] must have a finite weight, got inf",
+    ),
 ]
 
 
@@ -204,6 +212,10 @@ def test_load_game_applies_the_strategy_rules(mutate, message):
          "strategy1['s']['move'] must have a finite rational exponent, got inf"),
         (1, "s", "move", Monomial(0.5, 0.5),
          "strategy1['s']['move'] must have a finite rational exponent, got 0.5"),
+        (1, "s", "move", Monomial(math.inf, Fraction(1, 2)),
+         "strategy1['s']['move'] must have a finite weight, got inf"),
+        (2, "s", "R", Monomial(math.nan, Fraction(1, 2)),
+         "strategy2['s']['R'] must have positive weight and exponent >= 0"),
     ],
 )
 def test_compile_game_applies_the_strategy_rules_to_built_strategies(

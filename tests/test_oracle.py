@@ -98,6 +98,30 @@ def test_instantiate_gives_exactly_leaving_rows_no_diagonal():
         assert Q[0].tolist() == [0.0, 1.0, 0.0]
 
 
+def test_instantiate_matches_the_entry_by_entry_reference_bit_for_bit():
+    # instantiate evaluates c * lam**(tick / D) on the chain's tick table, the
+    # reference c * lam**float(exp) on its public Fraction monomials
+    chains = [load_chain(fixture(f"{name}.json")) for name in helpers.CHAIN_FIXTURES]
+    chains += [compile_game(*load_game(fixture(f"{name}.json")))[0]
+               for name in helpers.GAME_FIXTURES]
+    rng = np.random.default_rng(1313)
+    makers = (
+        helpers.random_chain,
+        lambda r: helpers.random_chain(r, max_states=8, pool=helpers.COPRIME_POOL),
+        helpers.random_periodic_chain,
+        helpers.random_trap_chain,
+        helpers.random_nested_chain,
+        helpers.random_critical_chain,
+    )
+    chains += [makers[i % len(makers)](rng) for i in range(360)]
+    # the coprime pool reaches common denominators up to 2 * 7 * 11 * 13
+    assert max(chain.scale.D for chain in chains) == 2002
+    for chain in chains:
+        for f in (1.0, 0.37, 1e-3, 1e-9):
+            lam = f * chain.lambda_max
+            assert np.array_equal(instantiate(chain, lam), helpers.reference_instantiate(chain, lam))
+
+
 # --------------------------------------------------- averaged matrix powers
 
 
