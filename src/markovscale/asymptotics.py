@@ -13,6 +13,11 @@ aggregation ladder runs the same operations on ints counting units of the
 chain's common denominator, as decided once by the chain's `TickScale`
 (everything else here is generic over both).  Exponent comparisons are
 exact.
+
+The `mono_*` functions are the one statement of the rules.  The hot loops
+of the elimination kernel and the ladder carry terms as plain (coeff, exp)
+pairs and write these steps out inline, each doing exactly what the
+`mono_*` chain it replaces does, zero rules and underflow included.
 """
 
 from __future__ import annotations
@@ -20,9 +25,8 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Exponent = Union[Fraction, int, float]  # Fraction (int inside the ladder), or math.inf for zero
 
@@ -52,9 +56,10 @@ def format_exponent(exp: Exponent) -> str:
     return str(exp)
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Leading term coeff * lam**exp; the zero element is (0, inf)."""
+class Monomial(NamedTuple):
+    """Leading term coeff * lam**exp; the zero element is (0, inf).  A
+    Monomial is the pair (coeff, exp): it unpacks like one and compares
+    equal to the plain tuple, so code can read either the same way."""
 
     coeff: float
     exp: Exponent
@@ -142,11 +147,20 @@ class TickScale:
     """Exact exponents as ints.  The exponent p/q is the tick p * (D // q),
     D being the lcm of the denominators the scale is made for; sums of
     exponents become sums of ticks.  Ticks turn back into public `Fraction`
-    exponents here, one object per distinct value."""
+    exponents here, one object per distinct value.  Scales with the same D
+    are equal: D alone decides every tick and every exponent."""
 
     def __init__(self, denominators):
         self.D = math.lcm(*denominators)
         self._fractions: dict = {INF: INF}
+
+    def __eq__(self, other):
+        if not isinstance(other, TickScale):
+            return NotImplemented
+        return self.D == other.D
+
+    def __hash__(self) -> int:
+        return hash(self.D)
 
     def tick(self, p: int, q: int) -> int:
         """The tick of the exponent p/q; q must divide D."""
@@ -161,9 +175,9 @@ class TickScale:
 
 
 class PublicTable(Mapping):
-    """Read-only view of a table on ticks (key -> {target -> Monomial(coeff,
-    tick)}) that hands out each row with the `Fraction` exponents of `scale`,
-    converting a row when it is first read."""
+    """Read-only view of a table on ticks (key -> {target -> (coeff, tick)})
+    that hands out each row as `Monomial`s with the `Fraction` exponents of
+    `scale`, converting a row when it is first read."""
 
     def __init__(self, rows: dict, scale: TickScale):
         self._rows = rows
@@ -173,8 +187,9 @@ class PublicTable(Mapping):
     def __getitem__(self, key) -> dict:
         row = self._public.get(key)
         if row is None:
-            row = self._public[key] = {v: Monomial(m.coeff, self._fraction(m.exp))
-                                       for v, m in self._rows[key].items()}
+            fraction = self._fraction
+            row = self._public[key] = {v: Monomial(c, fraction(e))
+                                       for v, (c, e) in self._rows[key].items()}
         return row
 
     def __contains__(self, key) -> bool:

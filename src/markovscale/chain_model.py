@@ -10,7 +10,9 @@ matrices.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -73,8 +75,8 @@ def _row_lambda_max(state: str, row: dict, D: int, cap: float) -> float:
     """Largest lam in (0, 1] keeping the implied diagonal of a tick row that
     does not leave exactly nonnegative, or `cap` if the diagonal is still
     nonnegative there.  The diagonal does not increase with lam, so such a
-    row cannot bring a running minimum below `cap`; rows that can are
-    bisected on all of (0, 1]."""
+    row cannot bring a running minimum below `cap`; rows that can get what a
+    bisection of all of (0, 1] returns (`_bisection_end`)."""
     if not row:
         return 1.0
     # c * lam**0.0 == c, so this matches mono_eval term by term; t / D is
@@ -93,16 +95,91 @@ def _row_lambda_max(state: str, row: dict, D: int, cap: float) -> float:
 
     if diag(cap) >= 0.0:
         return cap
-    lo, hi = 0.0, 1.0  # diag(0+) > 0 since exp-0 mass < 1 here
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if diag(mid) >= 0.0:
-            lo = mid
+    return _bisection_end(diag, terms, cap)
+
+
+def _bits(x: float) -> int:
+    """The bit pattern of a float >= 0, which orders such floats as ints."""
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _from_bits(b: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+#: the bisection's 200 halvings end on multiples of this
+_GRID = 2.0**-200
+
+
+def _bisection_end(diag, terms, cap: float) -> float:
+    """What bisecting (0, 1] for the end of diag >= 0 returns, given
+    diag(cap) < 0 and diag(0+) > 0: halve up to 200 times, stopping once
+    the ends are adjacent floats, and return the lower end.  As diag does
+    not increase, the halvings close in on t, the largest float with
+    diag(t) >= 0, and end on t's multiple of 2**-200 (t itself unless
+    t < 2**-148, where 200 halvings stop short of adjacent floats).
+
+    t is found here in a handful of diag evaluations instead of about 60:
+    a Newton estimate of the exact root in log lam, then a gallop and a
+    bisection over float bit patterns, which test diag only on floats."""
+    # Newton on S(y) = sum of c * exp(e * y) over the e > 0 terms, convex in
+    # y = log lam, for S(y) = 1 - (exponent-0 mass).  Started where one term
+    # alone reaches that, it falls monotonically onto the root
+    x, step = 0.5 * cap, 1
+    room = 1.0 - sum(c for c, e in terms if e == 0.0)
+    try:
+        y = min([math.log(cap)] + [(math.log(room) - math.log(c)) / e
+                                   for c, e in terms if e > 0.0])
+        floor, ds = math.log(_GRID), math.inf
+        for _ in range(100):
+            if y < floor:  # the root lies below the grid
+                break
+            lam = math.exp(y)
+            s = ds = 0.0
+            for c, e in terms:
+                if e > 0.0:
+                    t = c * lam**e
+                    s += t
+                    ds += e * t
+            dy = (s - room) / ds
+            y -= dy
+            if not dy > 1e-15:
+                break
+        x = max(math.exp(y), _GRID)
+        # diag is flat over about 0.5 / ds floats around the root, as the
+        # sum it takes moves by ds * 2**-52 a float and rounds to 2**-53
+        step = max(1, int(0.5 / ds))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass  # a poor start costs diag evaluations, never the result
+    # bit patterns with diag >= 0 at `good` (unchecked while it is the grid
+    # step: anything below rounds down to 0.0) and diag < 0 at `bad`
+    low = good = _bits(_GRID)
+    bad = _bits(cap)
+    b = min(_bits(x), bad - 1)
+    x = _from_bits(b)
+    if diag(x) >= 0.0:
+        good = b
+        while good + step < bad:
+            if diag(_from_bits(good + step)) < 0.0:
+                bad = good + step
+                break
+            good, step = good + step, 2 * step
+    else:
+        bad = b
+        while bad - step > good:
+            if diag(_from_bits(bad - step)) >= 0.0:
+                good = bad - step
+                break
+            bad, step = bad - step, 2 * step
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if diag(_from_bits(mid)) >= 0.0:
+            good = mid
         else:
-            hi = mid
-    return lo
+            bad = mid
+    if good == low and diag(_GRID) < 0.0:
+        return 0.0
+    return math.floor(_from_bits(good) / _GRID) * _GRID
 
 
 def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:

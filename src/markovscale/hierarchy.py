@@ -17,10 +17,11 @@ for the extended (stepwise) position, read off the level-1 class periods.
 
 Every exponent the ladder produces is a Z-combination of the chain's entry
 exponents, so `analyze` runs it on the chain's ticks: ints counting units
-of 1/D on the scale the chain was built with.  The levels it returns
-convert their tables to `Fraction` exponents through that scale when a row
-is first read.
-`next_threshold` and `build_level` are generic over the two representations.
+of 1/D on the scale the chain was built with.  Inside, the ladder carries
+terms as plain (coeff, exp) pairs; the levels `analyze` returns hand out
+`Monomial`s with `Fraction` exponents, converting a row through that scale
+when it is first read.  `next_threshold` and `build_level` read `Monomial`s
+and pairs alike, on either kind of exponent.
 """
 
 from __future__ import annotations
@@ -31,16 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import (
-    INF,
-    ZERO,
-    Exponent,
-    Monomial,
-    PublicTable,
-    format_exponent,
-    mono_add,
-    mono_mul,
-)
+from .asymptotics import INF, ZERO, Exponent, Monomial, PublicTable, format_exponent
+# the rules that build_level's inlined aggregation follows; the benchmark's
+# span tracer (bench/spans.py) counts calls made through these names
+from .asymptotics import mono_add, mono_mul  # noqa: F401
 from .chain_model import PerturbedChain
 from .errors import InputError, InternalError
 from .structure import ClassDecomposition, classify, entrance_law, invariant_measure
@@ -112,9 +107,9 @@ def next_threshold(level: HierarchyLevel) -> Exponent:
     """Smallest exit exponent among the level's recurrent nodes (inf if none)."""
     alpha: Exponent = INF
     for node in level.recurrent_nodes:
-        for m in level.aggregated[node].values():
-            if m.exp < alpha:
-                alpha = m.exp
+        for _, e in level.aggregated[node].values():
+            if e < alpha:
+                alpha = e
     return alpha
 
 
@@ -127,9 +122,9 @@ def _level_support(aggregated: dict, nodes: list[Node], alpha: Exponent, leaving
     support = {}
     for u in nodes:
         row = aggregated[u]
-        emin = min((m.exp for m in row.values()), default=INF)
+        emin = min((e for _, e in row.values()), default=INF)
         if emin <= alpha:
-            succ = {v for v, m in row.items() if m.exp == emin}
+            succ = {v for v, (_, e) in row.items() if e == emin}
             if emin != 0 or u not in leaving:
                 succ.add(u)
         else:
@@ -176,7 +171,7 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         period[node] = decomp.period[cls]
         # the kernel reads the arcs inside the class at exponent <= alpha only
         mset = set(cls)
-        inside = {u: {v: m for v, m in Q[u].items() if v in mset and m.exp <= alpha}
+        inside = {u: {v: m for v, m in Q[u].items() if v in mset and m[1] <= alpha}
                   for u in cls}
         try:
             measures[node] = invariant_measure(inside, cls)
@@ -196,24 +191,38 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     # order, so only the merged list needs sorting
     new_nodes.sort(key=lambda n: state_order[n[0]])
 
-    agg: dict[Node, dict[Node, Monomial]] = {}
+    # rows of (coeff, exp) pairs, summed with the steps of mono_add and
+    # mono_mul written out inline
+    agg: dict[Node, dict[Node, tuple]] = {}
     for u in new_nodes:
         cls = merged.get(u)
         if cls is not None:
             pi = measures[u]
             acc = {}
             for z in cls:
-                for v, m in Q[z].items():
+                pc, pe = pi[z]
+                for v, (c, e) in Q[z].items():
                     tgt = parent[v]
                     if tgt != u:
-                        acc[tgt] = mono_add(acc.get(tgt, ZERO), mono_mul(pi[z], m))
+                        # acc[tgt] = mono_add(acc[tgt], mono_mul(pi_z, m))
+                        c, e = (pc * c, pe + e) if pc != 0.0 and c != 0.0 else ZERO
+                        oc, oe = acc.get(tgt, ZERO)
+                        if e < oe:
+                            acc[tgt] = (c, e)
+                        elif e == oe:
+                            acc[tgt] = (oc + c, oe) if oc != 0.0 else ZERO
         elif moved.isdisjoint(Q[u]):
             acc = Q[u]
         else:
             acc = {}
             for v, m in Q[u].items():
                 tgt = parent[v]
-                acc[tgt] = mono_add(acc.get(tgt, ZERO), m)
+                # acc[tgt] = mono_add(acc[tgt], m)
+                oc, oe = acc.get(tgt, ZERO)
+                if m[1] < oe:
+                    acc[tgt] = m
+                elif m[1] == oe:
+                    acc[tgt] = (oc + m[0], oe) if oc != 0.0 else ZERO
         agg[u] = acc
 
     return HierarchyLevel(
@@ -266,10 +275,10 @@ def analyze(chain: PerturbedChain) -> LimitModel:
         levels.append(current)
         for meas in current.measures.values():
             if len(meas) > 1:
-                for child, m in meas.items():
+                for child, (c, e) in meas.items():
                     for s in child:
-                        weight_coeff[s] *= m.coeff
-                        weight_exp[s] += m.exp
+                        weight_coeff[s] *= c
+                        weight_exp[s] += e
     if terminal is None:
         raise InternalError(
             f"aggregation did not terminate within the iteration guard of {guard} levels "
@@ -298,14 +307,14 @@ def analyze(chain: PerturbedChain) -> LimitModel:
 
     A = np.zeros((nclasses, nclasses))
     for i, node in enumerate(classes):
-        for v, m in final.aggregated[node].items():
-            if m.exp < D:
+        for v, (c, e) in final.aggregated[node].items():
+            if e < D:
                 raise InternalError(
                     f"level {final.index}: recurrent node {_node_name(node)} keeps the "
-                    f"sub-unit exit exponent {fmt(m.exp)} to {_node_name(v)} at termination"
+                    f"sub-unit exit exponent {fmt(e)} to {_node_name(v)} at termination"
                 )
-            if m.exp == D:
-                A[i] += m.coeff * law[v]
+            if e == D:
+                A[i] += c * law[v]
         A[i, i] = 0.0  # the diagonal is minus the off-diagonal row sum
         A[i, i] = -A[i].sum()
 

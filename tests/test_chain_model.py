@@ -16,12 +16,15 @@ from markovscale import (
     load_chain,
     monomial,
 )
+from markovscale.asymptotics import TickScale
+from markovscale.chain_model import _bisection_end, _row_lambda_max
 from markovscale.games import compile_game, load_game
 from markovscale.oracle import instantiate
 
 from helpers import (
     CHAIN_FIXTURES,
     COPRIME_POOL,
+    EXPONENT_POOL,
     GAME_FIXTURES,
     fixture,
     is_exactly_leaving,
@@ -86,6 +89,71 @@ def test_lambda_max_is_the_minimum_of_the_unpruned_row_bisections():
         several_bisected += sum(v < 1.0 for v in per_row) >= 2
     # the pruning is exercised: many chains have two or more rows below 1
     assert several_bisected >= 100
+
+
+def _rows_below_one(rng, count):
+    """Rows that do not leave exactly, as public Monomial rows in a random
+    order: exponent-0 mass up to 1 - 1e-8, one to four positive-exponent
+    terms from either pool, and in a fifth of the rows coefficients of
+    2**100 to 2**250, which put the root below 2**-148."""
+    masses = (0.0, 0.5, 0.9, 0.999999, 1 - 1e-8)
+    for i in range(count):
+        pool = (EXPONENT_POOL, COPRIME_POOL)[i % 2][1:]
+        mass = masses[int(rng.integers(len(masses)))] if rng.random() < 0.8 else float(rng.uniform(0, 0.99))
+        w = rng.uniform(0.1, 1.0, size=int(rng.integers(1, 4)) if mass else 0)
+        terms = [Monomial(float(c), F(0)) for c in w / w.sum() * mass]
+        tiny = rng.random() < 0.2
+        for _ in range(int(rng.integers(1, 5))):
+            c = 2.0 ** rng.uniform(100, 250) if tiny else 10.0 ** rng.uniform(-3, 3)
+            terms.append(Monomial(float(c), pool[int(rng.integers(len(pool)))]))
+        yield {f"d{k}": terms[k] for k in rng.permutation(len(terms))}
+
+
+def test_row_bounds_are_the_bisection_floats_from_a_handful_of_evaluations():
+    # the search for a row's lambda bound must end on the very float that
+    # the bisection of (0, 1] kept in helpers ends on, also where the
+    # bisection's 200-step cap binds, with far fewer evaluations of the
+    # implied diagonal: the bisection takes at least 53 halvings on every
+    # row it runs on, and 200 where the root lies below 2**-148
+    rng = np.random.default_rng(71)
+    searched = tiny = evaluations = 0
+    for row in _rows_below_one(rng, 4000):
+        want = unpruned_row_lambda_max(row)
+        D = math.lcm(*(m.exp.denominator for m in row.values()))
+        ticks = {d: Monomial(m.coeff, m.exp.numerator * (D // m.exp.denominator))
+                 for d, m in row.items()}
+        assert _row_lambda_max("s", ticks, D, 1.0).hex() == want.hex()
+        if want == 1.0:
+            continue
+        searched += 1
+        tiny += want < 2.0**-148
+        # a running minimum above the row's root leads to the same float
+        cap = min(1.0, 2 * want) if want > 0 else 0.5
+        assert _row_lambda_max("s", ticks, D, cap).hex() == want.hex()
+        terms = [(m.coeff, m.exp / D) for m in ticks.values()]
+
+        def diag(lam):
+            nonlocal evaluations
+            evaluations += 1
+            return 1.0 - sum(c * lam**e for c, e in terms)
+
+        assert _bisection_end(diag, terms, 1.0).hex() == want.hex()
+    assert searched >= 3000 and tiny >= 500
+    assert evaluations <= 16 * searched
+
+
+def test_chains_built_from_one_document_are_equal():
+    for name in CHAIN_FIXTURES:
+        assert load_chain(fixture(f"{name}.json")) == load_chain(fixture(f"{name}.json"))
+    for name in GAME_FIXTURES:
+        one, two = (compile_game(*load_game(fixture(f"{name}.json")))[0] for _ in range(2))
+        assert one == two
+    eight = load_chain(fixture("eightstate.json"))
+    assert eight == load_chain(dump_chain(eight))
+    assert eight != load_chain(fixture("eightstate_primes.json"))
+    # a scale is its common denominator
+    assert TickScale([2, 3]) == TickScale([6]) and hash(TickScale([2, 3])) == hash(TickScale([6]))
+    assert TickScale([2]) != TickScale([3])
 
 
 def test_load_accepts_dict_and_round_trips_through_dump():
