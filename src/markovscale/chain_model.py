@@ -2,15 +2,18 @@
 
 A perturbed chain stores only the off-diagonal leading-order entries
 (coeff, exp) of a family of stochastic matrices Q_lam; the diagonal is implied,
-each row's diagonal being one minus the row sum.  Validation guarantees that
-some interval (0, lambda_max] of parameter values yields honest stochastic
-matrices.
+each row's diagonal being one minus the row sum.  Validation checks the
+leading-order terms: each row's exponent-0 mass is at most 1, and a row whose
+mass is 1 (it leaves exactly) has no other terms, so every row that does not
+leave exactly has a positive diagonal for all small enough lam.  The concrete
+bound, `PerturbedChain.lambda_max`, is the largest float lam in (0, 1] at which
+every such row's computed diagonal is nonnegative; only the finite-lambda
+oracle reads it, so it is computed on first read.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import struct
 from dataclasses import dataclass, field
@@ -24,6 +27,9 @@ from .errors import ChainFormatError, InputError
 #: rows whose exponent-0 coefficients sum to within this of 1 are treated as
 #: exactly leaving (the implied diagonal vanishes identically)
 EXACT_LEAVING_TOL = 1e-9
+
+#: ticks above this are checked for exponents too large for a float
+_HUGE_TICK = 2**1000
 
 _CHAIN_KEYS = {"states", "transitions"}
 _TRANSITION_KEYS = {"from", "to", "coeff", "exp"}
@@ -39,7 +45,6 @@ class PerturbedChain:
 
     states: tuple[str, ...]
     tick_rows: dict[str, dict[str, Monomial]] = field(repr=False)
-    lambda_max: float
     scale: TickScale = field(repr=False)
     leaving: frozenset[str]
     index: dict[str, int] = field(default_factory=dict, repr=False)
@@ -61,6 +66,19 @@ class PerturbedChain:
     def n_states(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def lambda_max(self) -> float:
+        """The largest float lam in (0, 1] at which the computed implied
+        diagonal of every row that does not leave exactly is nonnegative.
+        Only the finite-lambda oracle needs it, so it is found on first read.
+        A row whose diagonal is nonnegative at the running minimum cannot
+        lower it and is not searched."""
+        bound = 1.0
+        for s in self.states:
+            if s not in self.leaving:
+                bound = _row_lambda_max(s, self.tick_rows[s], self.scale.D, bound)
+        return bound
+
 
 def leaves_exactly(mass0: float) -> bool:
     """The surviving-diagonal rule: a row of off-diagonal terms leaves
@@ -72,30 +90,34 @@ def leaves_exactly(mass0: float) -> bool:
 
 
 def _row_lambda_max(state: str, row: dict, D: int, cap: float) -> float:
-    """Largest lam in (0, 1] keeping the implied diagonal of a tick row that
-    does not leave exactly nonnegative, or `cap` if the diagonal is still
-    nonnegative there.  The diagonal does not increase with lam, so such a
-    row cannot bring a running minimum below `cap`; rows that can get what a
-    bisection of all of (0, 1] returns (`_bisection_end`)."""
-    if not row:
-        return 1.0
+    """Largest float lam in (0, cap] at which the computed implied diagonal
+    of a tick row that does not leave exactly is nonnegative; `InputError`
+    naming the row if there is none.  The diagonal sums its terms in row
+    order and does not increase with lam, so a bisection over the bit
+    patterns of [0.0, cap], which order floats >= 0 as ints, ends on it."""
     # c * lam**0.0 == c, so this matches mono_eval term by term; t / D is
     # the correctly rounded float of the exponent, as float(Fraction) is
-    terms = []
-    for dst, m in row.items():
-        try:
-            terms.append((m.coeff, m.exp / D))
-        except OverflowError:
-            raise ChainFormatError(
-                f"transition {state!r} -> {dst!r}: exponent is too large for a float"
-            ) from None
+    terms = [(m.coeff, m.exp / D) for m in row.values()]
 
     def diag(lam: float) -> float:
         return 1.0 - sum(c * lam**e for c, e in terms)
 
     if diag(cap) >= 0.0:
         return cap
-    return _bisection_end(diag, terms, cap)
+    # diag(0.0) is one minus the exponent-0 mass, > 0 as the row does not
+    # leave exactly
+    good, bad = 0, _bits(cap)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if diag(_from_bits(mid)) >= 0.0:
+            good = mid
+        else:
+            bad = mid
+    if not good:
+        raise InputError(
+            f"row {state!r}: no float lambda > 0 keeps its implied diagonal nonnegative"
+        )
+    return _from_bits(good)
 
 
 def _bits(x: float) -> int:
@@ -107,87 +129,12 @@ def _from_bits(b: int) -> float:
     return struct.unpack("<d", struct.pack("<q", b))[0]
 
 
-#: the bisection's 200 halvings end on multiples of this
-_GRID = 2.0**-200
-
-
-def _bisection_end(diag, terms, cap: float) -> float:
-    """What bisecting (0, 1] for the end of diag >= 0 returns, given
-    diag(cap) < 0 and diag(0+) > 0: halve up to 200 times, stopping once
-    the ends are adjacent floats, and return the lower end.  As diag does
-    not increase, the halvings close in on t, the largest float with
-    diag(t) >= 0, and end on t's multiple of 2**-200 (t itself unless
-    t < 2**-148, where 200 halvings stop short of adjacent floats).
-
-    t is found here in a handful of diag evaluations instead of about 60:
-    a Newton estimate of the exact root in log lam, then a gallop and a
-    bisection over float bit patterns, which test diag only on floats."""
-    # Newton on S(y) = sum of c * exp(e * y) over the e > 0 terms, convex in
-    # y = log lam, for S(y) = 1 - (exponent-0 mass).  Started where one term
-    # alone reaches that, it falls monotonically onto the root
-    x, step = 0.5 * cap, 1
-    room = 1.0 - sum(c for c, e in terms if e == 0.0)
-    try:
-        y = min([math.log(cap)] + [(math.log(room) - math.log(c)) / e
-                                   for c, e in terms if e > 0.0])
-        floor, ds = math.log(_GRID), math.inf
-        for _ in range(100):
-            if y < floor:  # the root lies below the grid
-                break
-            lam = math.exp(y)
-            s = ds = 0.0
-            for c, e in terms:
-                if e > 0.0:
-                    t = c * lam**e
-                    s += t
-                    ds += e * t
-            dy = (s - room) / ds
-            y -= dy
-            if not dy > 1e-15:
-                break
-        x = max(math.exp(y), _GRID)
-        # diag is flat over about 0.5 / ds floats around the root, as the
-        # sum it takes moves by ds * 2**-52 a float and rounds to 2**-53
-        step = max(1, int(0.5 / ds))
-    except (ValueError, ZeroDivisionError, OverflowError):
-        pass  # a poor start costs diag evaluations, never the result
-    # bit patterns with diag >= 0 at `good` (unchecked while it is the grid
-    # step: anything below rounds down to 0.0) and diag < 0 at `bad`
-    low = good = _bits(_GRID)
-    bad = _bits(cap)
-    b = min(_bits(x), bad - 1)
-    x = _from_bits(b)
-    if diag(x) >= 0.0:
-        good = b
-        while good + step < bad:
-            if diag(_from_bits(good + step)) < 0.0:
-                bad = good + step
-                break
-            good, step = good + step, 2 * step
-    else:
-        bad = b
-        while bad - step > good:
-            if diag(_from_bits(bad - step)) >= 0.0:
-                good = bad - step
-                break
-            bad, step = bad - step, 2 * step
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        if diag(_from_bits(mid)) >= 0.0:
-            good = mid
-        else:
-            bad = mid
-    if good == low and diag(_GRID) < 0.0:
-        return 0.0
-    return math.floor(_from_bits(good) / _GRID) * _GRID
-
-
 def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
     """The one chain builder.  `entries` maps `(from, to)` to `(coeff,
     tick)`, with ticks >= 0 on `scale`; entries with coefficient 0 are
     dropped.  Validates the states and coefficients, stores the entries
-    once as `tick_rows`, judges each row's exponent-0 mass once
-    (`leaves_exactly`) and finds `lambda_max`."""
+    once as `tick_rows` and judges each row's exponent-0 mass once
+    (`leaves_exactly`)."""
     states = tuple(states)
     if not states:
         raise ChainFormatError("chain has an empty state set")
@@ -215,9 +162,15 @@ def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
             raise ChainFormatError(
                 f"transition {src!r} -> {dst!r}: coefficient must be finite and > 0, got {c!r}"
             )
+        if t > _HUGE_TICK:  # t / D is the float exponent the oracle evaluates
+            try:
+                t / scale.D
+            except OverflowError:
+                raise ChainFormatError(
+                    f"transition {src!r} -> {dst!r}: exponent is too large for a float"
+                ) from None
         rows[src][dst] = Monomial(c, t)
 
-    lambda_max = 1.0
     leaving = []
     for s in states:
         row = rows[s]
@@ -233,11 +186,8 @@ def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
                     "so the extra positive-exponent entries leave no feasible lambda"
                 )
             leaving.append(s)
-        else:
-            lambda_max = min(lambda_max, _row_lambda_max(s, row, scale.D, lambda_max))
 
-    return PerturbedChain(states=states, tick_rows=rows, lambda_max=lambda_max, scale=scale,
-                          leaving=frozenset(leaving))
+    return PerturbedChain(states=states, tick_rows=rows, scale=scale, leaving=frozenset(leaving))
 
 
 def chain_from_entries(

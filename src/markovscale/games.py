@@ -106,6 +106,9 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
                 if not 0.0 <= v <= 1.0:  # NaN fails too
                     raise ChainFormatError(f"payoff[{s!r}] values must lie in [0, 1]")
         payoff[s] = mat
+    for s in doc["payoff"]:
+        if s not in known:
+            raise ChainFormatError(f"payoff names unknown state {s!r}")
 
     transition = {}
     tspec = doc["transition"]

@@ -393,10 +393,14 @@ def report(model: LimitModel) -> dict:
 
 
 def parse_report(source) -> dict:
-    """Validate a report document (dict or JSON text) and return it as a dict."""
+    """Validate a report document (dict or JSON text) and return it as a dict.
+    Any malformed document, invalid JSON text included, raises `InputError`."""
     import json
 
-    doc = json.loads(source) if isinstance(source, (str, bytes)) else source
+    try:
+        doc = json.loads(source) if isinstance(source, (str, bytes)) else source
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise InputError(f"report is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InputError("report must be a JSON object")
     required = {"alphas", "levels", "classes", "mu", "A", "M", "N"}
@@ -408,9 +412,11 @@ def parse_report(source) -> dict:
         raise InputError(f"report has unknown keys: {sorted(extra)}")
     if not isinstance(doc["alphas"], list) or not doc["alphas"]:
         raise InputError("report 'alphas' must be a nonempty list")
-    if len(doc["levels"]) != len(doc["alphas"]) - 1:
+    if not isinstance(doc["levels"], list) or len(doc["levels"]) != len(doc["alphas"]) - 1:
         raise InputError("report 'levels' must have one entry per non-terminal alpha")
-    if not isinstance(doc["N"], int) or doc["N"] < 1:
+    if not isinstance(doc["classes"], list):
+        raise InputError("report 'classes' must be a list")
+    if type(doc["N"]) is not int or doc["N"] < 1:  # True is an int too
         raise InputError("report 'N' must be a positive integer")
     nclasses = len(doc["classes"])
     for key, rows, cols in (("mu", None, nclasses), ("A", nclasses, nclasses), ("M", nclasses, None)):

@@ -407,8 +407,10 @@ def reference_ladder(chain) -> tuple[list, list]:
 
 
 def unpruned_row_lambda_max(row: dict) -> float:
-    """Largest lam in (0, 1] keeping one row's implied diagonal nonnegative,
-    by a bisection on (0, 1] that every row with a negative diagonal at 1 runs."""
+    """Largest float lam in [0, 1] keeping one row's implied diagonal
+    nonnegative, by a bisection on (0, 1] that every row with a negative
+    diagonal at 1 runs until its ends are adjacent floats (0.0 when no float
+    lam > 0 keeps the diagonal nonnegative)."""
     if not row or is_exactly_leaving(row):
         return 1.0
 
@@ -418,7 +420,7 @@ def unpruned_row_lambda_max(row: dict) -> float:
     if diag(1.0) >= 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

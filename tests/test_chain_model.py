@@ -9,6 +9,7 @@ import pytest
 
 from markovscale import (
     ChainFormatError,
+    InputError,
     Monomial,
     analyze,
     chain_from_entries,
@@ -17,7 +18,7 @@ from markovscale import (
     monomial,
 )
 from markovscale.asymptotics import TickScale
-from markovscale.chain_model import _bisection_end, _row_lambda_max
+from markovscale.chain_model import _row_lambda_max
 from markovscale.games import compile_game, load_game
 from markovscale.oracle import instantiate
 
@@ -109,37 +110,33 @@ def _rows_below_one(rng, count):
         yield {f"d{k}": terms[k] for k in rng.permutation(len(terms))}
 
 
-def test_row_bounds_are_the_bisection_floats_from_a_handful_of_evaluations():
+def test_row_bounds_are_the_uncapped_bisection_floats():
     # the search for a row's lambda bound must end on the very float that
-    # the bisection of (0, 1] kept in helpers ends on, also where the
-    # bisection's 200-step cap binds, with far fewer evaluations of the
-    # implied diagonal: the bisection takes at least 53 halvings on every
-    # row it runs on, and 200 where the root lies below 2**-148
+    # the bisection of (0, 1] kept in helpers ends on, run to adjacent
+    # floats, also where the root lies below 2**-148; a row that no float
+    # lam > 0 keeps nonnegative is an input error naming the row
     rng = np.random.default_rng(71)
-    searched = tiny = evaluations = 0
+    searched = tiny = infeasible = 0
     for row in _rows_below_one(rng, 4000):
         want = unpruned_row_lambda_max(row)
         D = math.lcm(*(m.exp.denominator for m in row.values()))
         ticks = {d: Monomial(m.coeff, m.exp.numerator * (D // m.exp.denominator))
                  for d, m in row.items()}
+        if want == 0.0:
+            infeasible += 1
+            for cap in (1.0, 0.5):
+                with pytest.raises(InputError, match="row 's': no float lambda > 0"):
+                    _row_lambda_max("s", ticks, D, cap)
+            continue
         assert _row_lambda_max("s", ticks, D, 1.0).hex() == want.hex()
         if want == 1.0:
             continue
         searched += 1
         tiny += want < 2.0**-148
         # a running minimum above the row's root leads to the same float
-        cap = min(1.0, 2 * want) if want > 0 else 0.5
+        cap = min(1.0, 2 * want)
         assert _row_lambda_max("s", ticks, D, cap).hex() == want.hex()
-        terms = [(m.coeff, m.exp / D) for m in ticks.values()]
-
-        def diag(lam):
-            nonlocal evaluations
-            evaluations += 1
-            return 1.0 - sum(c * lam**e for c, e in terms)
-
-        assert _bisection_end(diag, terms, 1.0).hex() == want.hex()
-    assert searched >= 3000 and tiny >= 500
-    assert evaluations <= 16 * searched
+    assert searched >= 3000 and tiny >= 500 and infeasible >= 200
 
 
 def test_chains_built_from_one_document_are_equal():

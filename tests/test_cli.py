@@ -419,6 +419,20 @@ def test_an_oversized_exponent_is_an_input_error(capsys, tmp_path):
     assert err == "error: transition '1' -> '2': exponent is too large for a float\n"
 
 
+def test_a_row_without_a_feasible_float_lambda_fails_only_verify(capsys, tmp_path):
+    # 1e300 * lam**(1/4) reaches 1 at lam = 1e-1200, below every float > 0:
+    # the limit model needs no concrete lambda, the oracle does
+    chain = tmp_path / "tiny_root.json"
+    chain.write_text(json.dumps({"states": ["a", "b"], "transitions": [
+        {"from": "a", "to": "b", "coeff": 1e300, "exp": "1/4"},
+        {"from": "b", "to": "a", "coeff": 0.5, "exp": "1"}]}))
+    rc, out, err = run(capsys, "analyze", str(chain))
+    assert (rc, err) == (0, "") and out
+    rc, out, err = run(capsys, "verify", str(chain), "--t", "1", "--lambdas", "1e-300")
+    assert (rc, out) == (1, "")
+    assert err == "error: row 'a': no float lambda > 0 keeps its implied diagonal nonnegative\n"
+
+
 def _switch_with(mutate):
     doc = json.load(open(SWITCH))
     mutate(doc)

@@ -62,6 +62,7 @@ def broken(mutate):
         (lambda d: d["actions1"].update(s=[]), "nonempty"),
         (lambda d: d["actions1"].update(s=["stay", "stay"]), "duplicate"),
         (lambda d: d["payoff"].pop("s"), "payoff is missing"),
+        (lambda d: d["payoff"].update(zz=[[0.5]]), "payoff names unknown state 'zz'"),
         (lambda d: d["payoff"].update(s=[[0.2, 0.4]]), "payoff"),
         (lambda d: d["payoff"]["s"][0].__setitem__(0, 1.5), "lie in"),
         (lambda d: d["payoff"]["s"][0].__setitem__(0, -0.1), "lie in"),

@@ -482,3 +482,12 @@ def test_parse_report_rejects_malformed_documents():
     bad_mu = dict(good, mu=[[1.0, 0.0, 0.0]])
     with pytest.raises(InputError, match="'mu'"):
         parse_report(bad_mu)
+    for text in ("{", '{"alphas": ["1"],}', b"\xff", ""):
+        with pytest.raises(InputError, match="not valid JSON"):
+            parse_report(text)
+    with pytest.raises(InputError, match="'levels'"):
+        parse_report(dict(good, levels=5))
+    with pytest.raises(InputError, match="'classes'"):
+        parse_report(dict(good, classes=3))
+    with pytest.raises(InputError, match="'N'"):
+        parse_report(dict(good, N=True))

@@ -3,6 +3,8 @@ discounted sums, and the convergence sweep harness."""
 
 import json
 import math
+from contextlib import nullcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,15 @@ import pytest
 from markovscale import (
     InputError,
     InternalError,
+    Monomial,
     ResourceError,
     analyze,
     chain_from_entries,
     load_chain,
     monomial,
 )
-from markovscale import oracle
+from markovscale import chain_model, oracle
+from markovscale.evaluator import limit_payoff, occupation, position
 from markovscale.games import compile_game, load_game
 from markovscale.oracle import (
     MAX_POWER_STEPS,
@@ -77,6 +81,71 @@ def test_instantiate_rejects_infeasible_lambdas():
         instantiate(chain, 0.0)
     with pytest.raises(InputError, match="feasible"):
         instantiate(chain, -1e-3)
+
+
+def test_a_root_far_below_two_to_the_minus_200_bounds_lambda():
+    # 1e300 * lam**2 reaches 1 at lam = 1e-150; no halving cap may cut that
+    # bound to 0
+    chain = chain_from_entries(["a", "b"], {("a", "b"): Monomial(1e300, Fraction(2))})
+    assert chain.lambda_max == 1e-150
+    assert np.array_equal(instantiate(chain, 1e-200), np.eye(2))
+    Q = instantiate(chain, chain.lambda_max)
+    assert Q[0, 0] >= 0.0 and Q[0].sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_a_row_without_a_feasible_float_lambda_is_named_when_lambda_max_is_read():
+    # 1e300 * lam**(1/4) reaches 1 at lam = 1e-1200, below every float > 0
+    chain = chain_from_entries(["a", "b"], {("a", "b"): Monomial(1e300, Fraction(1, 4)),
+                                            ("b", "a"): monomial(0.5, 1)})
+    model = analyze(chain)  # the limit objects need no concrete lambda
+    assert model.alphas[-1] == 1
+    for _ in range(2):
+        with pytest.raises(InputError, match="row 'a': no float lambda > 0"):
+            chain.lambda_max
+    with pytest.raises(InputError, match="row 'a'"):
+        instantiate(chain, 1e-300)
+
+
+def test_lambda_max_is_searched_only_when_the_oracle_first_reads_it(monkeypatch):
+    # loading, analyzing and evaluating never evaluate a row's diagonal; the
+    # first instantiate of a sweep searches each row that does not leave
+    # exactly once, and the later ones reuse the bound
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    searched = []
+    search = chain_model._row_lambda_max
+
+    def counted(state, *args):
+        searched.append(state)
+        return search(state, *args)
+
+    monkeypatch.setattr(chain_model, "_row_lambda_max", counted)
+    for name in helpers.CHAIN_FIXTURES:
+        model = analyze(load_chain(fixture(f"{name}.json")))
+        position(model, 1.0)
+        occupation(model, 1.0)
+        occupation(model, total=True)
+        limit_payoff(model, np.linspace(0.0, 1.0, model.chain.n_states))
+    for name in helpers.GAME_FIXTURES:
+        chain, g = compile_game(*load_game(fixture(f"{name}.json")))
+        model = analyze(chain)
+        position(model, 1.0)
+        occupation(model, 1.0)
+        limit_payoff(model, g)
+    for name in ("ladder", "dense_classes", "game_verify"):
+        job = workloads.make_inputs(name, 11, tiny=True)[0]
+        out = workloads.run_job(job, False, lambda phase: nullcontext())
+        workloads.check_job(job, out)
+    assert searched == []
+
+    job = workloads.make_inputs("game_verify", 11, tiny=True)[0]
+    chain, _ = compile_game(*load_game(json.loads(job.text)))
+    model = analyze(chain)
+    entries = convergence_sweep(chain, model, 1.0, workloads.SWEEP_LAMBDAS).entries
+    assert len(entries) == 3
+    assert searched == [s for s in chain.states if s not in chain.leaving]
+    assert searched
 
 
 def test_instantiate_gives_exactly_leaving_rows_no_diagonal():
