@@ -76,13 +76,13 @@ def _cmd_analyze(args, chain):
 def _cmd_position(args, chain):
     if (args.t is None) == (args.fraction is None):
         raise InputError("give exactly one of --t and --fraction")
+    if args.from_state is not None and args.from_state not in chain.index:
+        raise InputError(f"unknown state {args.from_state!r}")
     P = position(analyze(chain), t=args.t, fraction=args.fraction)
     horizon = args.t if args.t is not None else -np.log1p(-args.fraction)
     doc = {"states": list(chain.states), "t": horizon, "position": P}
     if args.from_state is None:
         return doc, _matrix(chain.states, P)
-    if args.from_state not in chain.index:
-        raise InputError(f"unknown state {args.from_state!r}")
     doc.update({"from": args.from_state, "position": P[chain.index[args.from_state]]})
     return doc, _matrix([args.from_state], [doc["position"]])
 

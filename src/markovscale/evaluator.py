@@ -121,6 +121,17 @@ def _check_horizon_rows(X: np.ndarray, want: float, t: float) -> None:
         )
 
 
+def _through_entrance_law(model: LimitModel, X: np.ndarray) -> np.ndarray:
+    """mu . X for X with one row per final class (a matrix or a vector).  A
+    state whose entrance law is the indicator of class i gets X[i] as it is,
+    which is exact: 1.0 * x plus zeros is x in any summation order.  Only the
+    rows where the law splits are products."""
+    out = X[model.entry]
+    if model.split.size:
+        out[model.split] = model.mu[model.split] @ X
+    return out
+
+
 def position(model: LimitModel, t: float | None = None, fraction: float | None = None) -> np.ndarray:
     """Limit position matrix P_t = mu . exp(A t) . M over the original states.
 
@@ -140,7 +151,7 @@ def position(model: LimitModel, t: float | None = None, fraction: float | None =
         raise InputError(f"t must be >= 0, got {t!r}")
     E = expm(model.A * t)
     _check_horizon_rows(E, 1.0, t)
-    return model.mu @ E @ model.M
+    return _through_entrance_law(model, E @ model.M)
 
 
 @dataclass
@@ -164,7 +175,7 @@ def occupation(model: LimitModel, t: float | None = None, total: bool = False) -
             X = np.linalg.solve(eye - model.A, model.M)
         except np.linalg.LinAlgError:
             raise InternalError("Id - A is singular") from None
-        return OccupationResult(matrix=model.mu @ X, horizon=None)
+        return OccupationResult(matrix=_through_entrance_law(model, X), horizon=None)
     _finite_horizon(t)
     if t <= 0:
         raise InputError(f"occupation horizon must be > 0, got {t!r}")
@@ -175,7 +186,7 @@ def occupation(model: LimitModel, t: float | None = None, total: bool = False) -
     except np.linalg.LinAlgError:
         raise InternalError("A - Id is singular") from None
     _check_horizon_rows(Y, -math.expm1(-t), t)
-    return OccupationResult(matrix=model.mu @ Y @ model.M, horizon=t)
+    return OccupationResult(matrix=_through_entrance_law(model, Y @ model.M), horizon=t)
 
 
 def payoff_vector(chain: PerturbedChain, g) -> np.ndarray:
@@ -215,7 +226,7 @@ def limit_payoff(model: LimitModel, g) -> np.ndarray:
         x = np.linalg.solve(np.eye(model.n_classes) - model.A, model.M @ vec)
     except np.linalg.LinAlgError:
         raise InternalError("Id - A is singular") from None
-    return model.mu @ x
+    return _through_entrance_law(model, x)
 
 
 def absorbing_closed_form(chain: PerturbedChain, t: float) -> np.ndarray:

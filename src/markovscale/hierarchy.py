@@ -32,13 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import INF, ZERO, Exponent, Monomial, PublicTable, format_exponent
+from .asymptotics import INF, ZERO, Exponent, Monomial, PublicTable, format_exponent, parse_exponent
 # the rules that build_level's inlined aggregation follows; the benchmark's
 # span tracer (bench/spans.py) counts calls made through these names
 from .asymptotics import mono_add, mono_mul  # noqa: F401
 from .chain_model import PerturbedChain
 from .errors import InputError, InternalError
-from .structure import ClassDecomposition, classify, entrance_law, invariant_measure
+from .structure import ClassDecomposition, classify, entrance_law, invariant_measure, scaled_law_terms
 
 #: aggregated nodes are tuples of original states, ordered by state index
 Node = tuple
@@ -68,7 +68,12 @@ class HierarchyLevel:
 
 @dataclass
 class LimitModel:
-    """Asymptotic occupation structure of a perturbed chain."""
+    """Asymptotic occupation structure of a perturbed chain.
+
+    `entry[s]` is the class whose indicator row `mu[s]` is, and -1 where
+    state s's entrance law splits over two or more classes; `split` lists
+    those states' indices in increasing order.  Both are read off the
+    entrance law once, by `analyze`."""
 
     chain: PerturbedChain
     levels: list[HierarchyLevel]
@@ -77,6 +82,8 @@ class LimitModel:
     A: np.ndarray
     M: np.ndarray
     N: int
+    entry: np.ndarray
+    split: np.ndarray
     alphas: list[Exponent] = field(default_factory=list)
 
     @property
@@ -300,10 +307,26 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     except InternalError as exc:
         raise InternalError(f"level {final.index}, entrance law: {exc}") from exc
 
+    # law rows are sparse {class index: weight}; the states of an indicator
+    # row {i: 1.0} get entry i and their 1.0 in one assignment at the end,
+    # every other row is written into mu as it is
+    index = chain.index
     mu = np.zeros((n, nclasses))
+    entry = [-1] * n
     for node in final.nodes:
-        for s in node:
-            mu[chain.index[s]] = law[node]
+        row = law[node]
+        if len(row) == 1 and 1.0 in row.values():
+            (i,) = row
+            for s in node:
+                entry[index[s]] = i
+        else:
+            cols, weights = list(row), list(row.values())
+            for s in node:
+                mu[index[s], cols] = weights
+    entry = np.array(entry, dtype=np.intp)
+    split = np.flatnonzero(entry < 0)
+    held = np.flatnonzero(entry >= 0)
+    mu[held, entry[held]] = 1.0
 
     A = np.zeros((nclasses, nclasses))
     for i, node in enumerate(classes):
@@ -314,7 +337,8 @@ def analyze(chain: PerturbedChain) -> LimitModel:
                     f"sub-unit exit exponent {fmt(e)} to {_node_name(v)} at termination"
                 )
             if e == D:
-                A[i] += c * law[v]
+                for j, x in scaled_law_terms(c, law[v], nclasses):
+                    A[i, j] += x
         A[i, i] = 0.0  # the diagonal is minus the off-diagonal row sum
         A[i, i] = -A[i].sum()
 
@@ -338,6 +362,8 @@ def analyze(chain: PerturbedChain) -> LimitModel:
         A=A,
         M=M,
         N=averaging_period(levels),
+        entry=entry,
+        split=split,
         alphas=[frac(a) for a in alphas] + [frac(terminal)],
     )
 
@@ -418,6 +444,11 @@ def parse_report(source) -> dict:
         raise InputError("report 'classes' must be a list")
     if type(doc["N"]) is not int or doc["N"] < 1:  # True is an int too
         raise InputError("report 'N' must be a positive integer")
+    for a in doc["alphas"]:
+        try:
+            parse_exponent(a)
+        except ValueError:
+            raise InputError(f"report 'alphas' holds {a!r}, which is not an exponent") from None
     nclasses = len(doc["classes"])
     for key, rows, cols in (("mu", None, nclasses), ("A", nclasses, nclasses), ("M", nclasses, None)):
         mat = doc[key]
@@ -426,4 +457,9 @@ def parse_report(source) -> dict:
         for r in mat:
             if not isinstance(r, list) or (cols is not None and len(r) != cols):
                 raise InputError(f"report {key!r} has the wrong shape")
+            for x in r:
+                # True is an int too; json.loads reads NaN and Infinity as floats
+                if (isinstance(x, bool) or not isinstance(x, (int, float))
+                        or (isinstance(x, float) and not math.isfinite(x))):
+                    raise InputError(f"report {key!r} holds {x!r}, which is not a finite number")
     return doc

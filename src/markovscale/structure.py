@@ -16,8 +16,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .asymptotics import ONE, ZERO, Monomial
 # the rules that the inlined steps below follow; the benchmark's span tracer
 # (bench/spans.py) counts calls made through these names
@@ -237,21 +235,35 @@ def invariant_measure(matrix: dict, cls) -> dict:
     return {u: Monomial(pi[u][0] / tc, pi[u][1] - te) for u in members}
 
 
+def scaled_law_terms(lim: float, row: dict, n_classes: int):
+    """(class index, lim * weight) for every class at which lim times the
+    sparse entrance-law row `row` can change a sum: the nonzero products,
+    and, when an overflow made lim inf or nan, lim * 0.0 == nan at the
+    classes `row` lacks, as a dense row would have it."""
+    if not math.isfinite(lim):
+        row = {i: row.get(i, 0.0) for i in range(n_classes)}
+    for i, w in row.items():
+        x = lim * w
+        if x != 0.0:
+            yield i, x
+
+
 def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
     """Limit absorption probabilities into each recurrence class.
 
-    Returns {node: numpy row over classes} for every node of the
-    decomposition; class members get indicator rows.  The transient nodes are
-    eliminated sources first (a feeder DAG then creates no arcs, and a
-    leading-order trap needs no special case), and the removals are worked
-    back with h_k = sum_j lim(w_kj / s_k) h_j.
+    Returns {node: {class index: weight}} for every node of the
+    decomposition, classes indexed in `decomposition.recurrent` order and
+    holding only the nonzero weights; class members get indicator rows
+    {i: 1.0}.  The transient nodes are eliminated sources first (a feeder
+    DAG then creates no arcs, and a leading-order trap needs no special
+    case), and the removals are worked back with
+    h_k = sum_j lim(w_kj / s_k) h_j, summed in arc order.
     """
     classes = decomposition.recurrent
     law: dict = {}
     for i, cls in enumerate(classes):
         for u in cls:
-            law[u] = np.zeros(len(classes))
-            law[u][i] = 1.0
+            law[u] = {i: 1.0}
 
     transient = decomposition.transient
     rows = {u: matrix.get(u, {}) for u in transient}
@@ -259,7 +271,7 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
     succ = {u: [v for v in rows[u] if v in tset] for u in transient}
     order = [u for comp in reversed(_sccs(transient, succ)) for u in comp]
     for k, out, _, (sc, se) in reversed(_eliminate(rows, order)):
-        h = np.zeros(len(classes))
+        h: dict = {}
         for j, (c, e) in out.items():
             if j not in law:
                 raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
@@ -272,6 +284,7 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
                 lim = c
             else:
                 raise ValueError(f"monomial {Monomial(c, e)!r} diverges as lam -> 0")
-            h += lim * law[j]
+            for i, x in scaled_law_terms(lim, law[j], len(classes)):
+                h[i] = h.get(i, 0.0) + x
         law[k] = h
     return law

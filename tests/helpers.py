@@ -684,6 +684,13 @@ def _frozen_build_level(previous, alpha, chain):
     )
 
 
+def entrance_index(mu):
+    """`LimitModel.entry` and `.split` derived from a dense mu with numpy: a
+    row whose one nonzero is 1.0 is the indicator of that column."""
+    indicator = ((mu != 0.0).sum(axis=1) == 1) & (mu.max(axis=1) == 1.0)
+    return np.where(indicator, mu.argmax(axis=1), -1), np.flatnonzero(~indicator)
+
+
 def frozen_analyze(chain) -> LimitModel:
     """The reference ladder on int exponents, assembled into a LimitModel
     with the same mu, A, M, N and Fraction-exponent levels as `analyze`."""
@@ -743,9 +750,11 @@ def frozen_analyze(chain) -> LimitModel:
         for table in (lev.measures, lev.aggregated):
             for node, row in table.items():
                 table[node] = {v: Monomial(m.coeff, frac(m.exp)) for v, m in row.items()}
+    entry, split = entrance_index(mu)
     return LimitModel(
         chain=chain, levels=levels, classes=classes, mu=mu, A=A, M=M,
         N=math.prod(levels[1].period.values()) if len(levels) > 1 else 1,
+        entry=entry, split=split,
         alphas=[frac(a) for a in alphas] + [frac(alpha)],
     )
 

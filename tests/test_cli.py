@@ -12,6 +12,7 @@ import pytest
 
 import markovscale
 from markovscale import analyze, load_chain, parse_report, position
+from markovscale import cli
 from markovscale.cli import main
 from markovscale.oracle import convergence_sweep
 
@@ -155,6 +156,16 @@ def test_position_rejects_bad_combinations(capsys):
     rc, _, err = run(capsys, "position", EIGHT, "--t", "1", "--from", "zz")
     assert rc == 1
     assert "unknown state" in err
+
+
+def test_position_from_an_unknown_state_fails_before_any_analysis(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the chain was analyzed for a state it does not have")
+
+    monkeypatch.setattr(cli, "analyze", refuse)
+    monkeypatch.setattr(cli, "position", refuse)
+    rc, out, err = run(capsys, "position", EIGHT, "--t", "1", "--from", "zz")
+    assert (rc, out, err) == (1, "", "error: unknown state 'zz'\n")
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,13 @@ from markovscale import (
 from markovscale import evaluator
 from markovscale.evaluator import HORIZON_ROW_TOL, expm, pade_degree_and_scaling, payoff_vector
 
-from helpers import fixture
+from helpers import (
+    CHAIN_FIXTURES,
+    fixture,
+    random_nested_chain,
+    random_periodic_chain,
+    random_trap_chain,
+)
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +315,56 @@ def test_payoff_vector_validation(twostate):
     ]:
         with pytest.raises(InputError, match=problem):
             payoff_vector(chain, g)
+
+
+# ------------------------------------------------- gather through the law
+
+
+@pytest.fixture(scope="module")
+def seeded_models():
+    """Every chain fixture and seeded trap, nested and periodic chains: the
+    last three give transient states whose entrance law splits over classes."""
+    rng = np.random.default_rng(16)
+    chains = [load_chain(fixture(f"{name}.json")) for name in CHAIN_FIXTURES]
+    chains += [random_trap_chain(rng) for _ in range(60)]
+    chains += [random_nested_chain(rng, 3) for _ in range(30)]
+    chains += [random_periodic_chain(rng) for _ in range(60)]
+    models = [analyze(chain) for chain in chains]
+    # both branches of the gather run: indicator rows and split rows
+    assert sum(len(m.split) for m in models) >= 50
+    assert sum(int((m.entry >= 0).sum()) for m in models) >= 500
+    return models
+
+
+def test_indicator_rows_are_gathered_bit_for_bit_and_split_rows_within_float_noise(seeded_models):
+    # the evaluators form mu . X as X[entry], with mu[split] @ X on the split
+    # rows; the products they replace are mu @ E @ M, mu @ Y @ M, mu @ X and
+    # mu @ x.  An indicator row of mu picks one row exactly; a split row sums
+    # its classes in another order, within float noise
+    rng = np.random.default_rng(17)
+    for model in seeded_models:
+        mu, A, M = model.mu, model.A, model.M
+        eye = np.eye(model.n_classes)
+        g = rng.uniform(-1.0, 1.0, size=model.chain.n_states)
+        pairs = [(position(model, t=1.0), mu @ expm(A) @ M),
+                 (position(model, t=2.5), mu @ expm(A * 2.5) @ M),
+                 (occupation(model, t=1.0).matrix,
+                  mu @ np.linalg.solve(A - eye, expm(A - eye) - eye) @ M),
+                 (occupation(model, total=True).matrix, mu @ np.linalg.solve(eye - A, M)),
+                 (limit_payoff(model, g), mu @ np.linalg.solve(eye - A, M @ g))]
+        held = model.entry >= 0
+        for got, want in pairs:
+            assert np.array_equal(got[held], want[held])
+            np.testing.assert_allclose(got[model.split], want[model.split], rtol=0, atol=1e-15)
+
+
+def test_positions_form_a_semigroup_and_m_inverts_mu(seeded_models):
+    # M mu = I, so P_s P_t = mu e^{As} (M mu) e^{At} M = P_{s+t}
+    for model in seeded_models:
+        np.testing.assert_allclose(model.M @ model.mu, np.eye(model.n_classes), rtol=0, atol=1e-14)
+        for s, t in ((0.3, 0.7), (1.0, 2.0), (0.05, 4.0)):
+            np.testing.assert_allclose(position(model, t=s) @ position(model, t=t),
+                                       position(model, t=s + t), rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------- absorbing closed form

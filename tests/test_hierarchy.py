@@ -277,12 +277,15 @@ def test_analyze_matches_the_frozen_reference_ladder():
     chains += [random_periodic_chain(rng) for _ in range(300)]
     # M columns that are products of three or four measure coefficients
     chains += [random_nested_chain(rng, depth) for depth in (3, 4) for _ in range(25)]
-    kept = remapped = 0
+    kept = remapped = split_rows = 0
     for chain in chains:
         model, ref = analyze(chain), frozen_analyze(chain)
         assert json.dumps(report(model)) == json.dumps(report(ref))
         for got, want in ((model.mu, ref.mu), (model.A, ref.A), (model.M, ref.M)):
             assert np.array_equal(got, want)
+        # ref's entrance index is derived from its dense mu with numpy
+        assert np.array_equal(model.entry, ref.entry) and np.array_equal(model.split, ref.split)
+        split_rows += len(model.split)
         for lev, prev in zip(model.levels[2:], model.levels[1:]):
             stayed = [t for t in lev.transient_nodes if t in prev.transient_nodes]
             kept += bool(stayed)
@@ -290,6 +293,8 @@ def test_analyze_matches_the_frozen_reference_ladder():
     # transient nodes carried over two or more levels, some of them with a
     # target that merged on the way
     assert kept >= 200 and remapped >= 50
+    # rows whose entrance law splits over two or more classes
+    assert split_rows >= 100
 
 
 def test_levels_read_in_every_way_have_fraction_exponents():
@@ -491,3 +496,17 @@ def test_parse_report_rejects_malformed_documents():
         parse_report(dict(good, classes=3))
     with pytest.raises(InputError, match="'N'"):
         parse_report(dict(good, N=True))
+    # the shapes hold; the entries are not finite numbers or exponents
+    with pytest.raises(InputError, match="'mu'"):
+        parse_report(dict(good, mu=[["x", None], [True, 2]]))
+    for key, bad in (("mu", None), ("mu", True), ("A", math.nan), ("A", "0"), ("M", math.inf)):
+        mat = [list(row) for row in good[key]]
+        mat[0][0] = bad
+        with pytest.raises(InputError, match=f"{key!r}.*not a finite number"):
+            parse_report(dict(good, **{key: mat}))
+    text = json.dumps(dict(good, A=[[math.nan, 0.0], [0.0, 0.0]]))
+    with pytest.raises(InputError, match="'A'"):
+        parse_report(text)
+    for alphas in ([5], ["x"], ["1/0"], [None]):
+        with pytest.raises(InputError, match="'alphas'"):
+            parse_report(dict(good, alphas=alphas))

@@ -218,12 +218,12 @@ def test_uniform_split_from_the_eightstate_fast_scale():
     law = entrance_law(mat, dec)
     idx = {c: i for i, c in enumerate(dec.recurrent)}
     row5 = law["5"]
-    assert row5[idx[("1",)]] == pytest.approx(1 / 3, abs=1e-12)
-    assert row5[idx[("6",)]] == pytest.approx(1 / 3, abs=1e-12)
-    assert row5[idx[("7", "8")]] == pytest.approx(1 / 3, abs=1e-12)
-    assert row5.sum() == pytest.approx(1.0, abs=1e-12)
+    assert row5.get(idx[("1",)], 0.0) == pytest.approx(1 / 3, abs=1e-12)
+    assert row5.get(idx[("6",)], 0.0) == pytest.approx(1 / 3, abs=1e-12)
+    assert row5.get(idx[("7", "8")], 0.0) == pytest.approx(1 / 3, abs=1e-12)
+    assert sum(row5.values()) == pytest.approx(1.0, abs=1e-12)
     # rows of class members are indicators
-    assert law["7"][idx[("7", "8")]] == 1.0 and law["7"].sum() == 1.0
+    assert law["7"].get(idx[("7", "8")], 0.0) == 1.0 and sum(law["7"].values()) == 1.0
 
 
 def test_min_exponent_arc_wins_absorption_outright():
@@ -231,8 +231,8 @@ def test_min_exponent_arc_wins_absorption_outright():
     dec = classify(support_graph(mat))
     law = entrance_law(mat, dec)
     idx = {c: i for i, c in enumerate(dec.recurrent)}
-    assert law["t"][idx[("r1",)]] == pytest.approx(1.0, abs=1e-12)
-    assert law["t"][idx[("r2",)]] == pytest.approx(0.0, abs=1e-12)
+    assert law["t"].get(idx[("r1",)], 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert law["t"].get(idx[("r2",)], 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tied_exponents_share_by_coefficient():
@@ -240,8 +240,8 @@ def test_tied_exponents_share_by_coefficient():
     dec = classify(support_graph(mat))
     law = entrance_law(mat, dec)
     idx = {c: i for i, c in enumerate(dec.recurrent)}
-    assert law["t"][idx[("r1",)]] == pytest.approx(0.4, abs=1e-12)
-    assert law["t"][idx[("r2",)]] == pytest.approx(0.6, abs=1e-12)
+    assert law["t"].get(idx[("r1",)], 0.0) == pytest.approx(0.4, abs=1e-12)
+    assert law["t"].get(idx[("r2",)], 0.0) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_leading_order_trap_exits_by_its_stationary_weighted_arcs():
@@ -256,8 +256,8 @@ def test_leading_order_trap_exits_by_its_stationary_weighted_arcs():
     law = entrance_law(mat, dec)
     idx = {c: i for i, c in enumerate(dec.recurrent)}
     for t in ("t1", "t2"):
-        assert law[t][idx[("r1",)]] == pytest.approx(3 / 7, abs=1e-12)
-        assert law[t][idx[("r2",)]] == pytest.approx(4 / 7, abs=1e-12)
+        assert law[t].get(idx[("r1",)], 0.0) == pytest.approx(3 / 7, abs=1e-12)
+        assert law[t].get(idx[("r2",)], 0.0) == pytest.approx(4 / 7, abs=1e-12)
     # numeric oracle: absorption probabilities of the instantiated chain
     chain = load_chain(
         {
@@ -306,8 +306,8 @@ def test_trap_nested_in_a_larger_trap_exits_by_the_combined_weights():
     # {t1, t2} by 1 and t3 by (1/3) lam^(1/2), so the exits are
     # 0.15 lam to r1 and 0.1 lam to r2
     for t in ("t1", "t2", "t3"):
-        assert law[t][idx[("r1",)]] == pytest.approx(0.6, abs=1e-12)
-        assert law[t][idx[("r2",)]] == pytest.approx(0.4, abs=1e-12)
+        assert law[t].get(idx[("r1",)], 0.0) == pytest.approx(0.6, abs=1e-12)
+        assert law[t].get(idx[("r2",)], 0.0) == pytest.approx(0.4, abs=1e-12)
     Q = instantiate(chain, 1e-8)
     num = absorption_probabilities(Q, [0, 1, 2], [3, 4])
     np.testing.assert_allclose(num, [[0.6, 0.4]] * 3, atol=1e-3)
