@@ -268,17 +268,19 @@ def load_chain(source) -> PerturbedChain:
         where = f"transitions[{i}]"
         if not isinstance(tr, dict):
             raise ChainFormatError(f"{where}: must be an object")
-        extra = set(tr) - _TRANSITION_KEYS
-        if extra:
-            raise ChainFormatError(f"{where}: unknown keys {sorted(extra)}")
-        missing = _TRANSITION_KEYS - set(tr)
-        if missing:
+        if tr.keys() != _TRANSITION_KEYS:
+            extra = set(tr) - _TRANSITION_KEYS
+            if extra:
+                raise ChainFormatError(f"{where}: unknown keys {sorted(extra)}")
+            missing = _TRANSITION_KEYS - set(tr)
             raise ChainFormatError(f"{where}: missing keys {sorted(missing)}")
         src, dst = tr["from"], tr["to"]
         if not isinstance(src, str) or not isinstance(dst, str):
             key, name = ("to", dst) if isinstance(src, str) else ("from", src)
             raise ChainFormatError(f"{where}: '{key}' must be a state name, got {name!r}")
-        coeff = read_number(tr["coeff"], "transitions[%d]: 'coeff'", i)
+        coeff = tr["coeff"]
+        if type(coeff) is not float:
+            coeff = read_number(coeff, "transitions[%d]: 'coeff'", i)
         if not 0 < coeff < INF:
             raise ChainFormatError(f"{where}: 'coeff' must be finite and > 0, got {tr['coeff']!r}")
         text = tr["exp"]

@@ -10,7 +10,7 @@ import numpy as np
 
 from .asymptotics import mono_sum
 from .chain_model import PerturbedChain, read_number
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, ResourceError
 from .hierarchy import LimitModel
 
 
@@ -121,12 +121,21 @@ def _check_horizon_rows(X: np.ndarray, want: float, t: float) -> None:
         )
 
 
+def out_of_memory(shape: tuple) -> ResourceError:
+    """The error for an array with a row or column per state that does not
+    fit in memory."""
+    return ResourceError(f"out of memory for a {'x'.join(map(str, shape))} float array")
+
+
 def _through_entrance_law(model: LimitModel, X: np.ndarray) -> np.ndarray:
     """mu . X for X with one row per final class (a matrix or a vector).  A
     state whose entrance law is the indicator of class i gets X[i] as it is,
     which is exact: 1.0 * x plus zeros is x in any summation order.  Only the
     rows where the law splits are products."""
-    out = X[model.entry]
+    try:
+        out = np.take(X, model.entry, axis=0)
+    except MemoryError:
+        raise out_of_memory(model.entry.shape + X.shape[1:]) from None
     if model.split.size:
         out[model.split] = model.mu[model.split] @ X
     return out
@@ -172,10 +181,11 @@ def occupation(model: LimitModel, t: float | None = None, total: bool = False) -
     eye = np.eye(nc)
     if total:
         try:
-            X = np.linalg.solve(eye - model.A, model.M)
+            R = np.linalg.solve(eye - model.A, eye)
         except np.linalg.LinAlgError:
             raise InternalError("Id - A is singular") from None
-        return OccupationResult(matrix=_through_entrance_law(model, X), horizon=None)
+        # on the c x c system, then M: c right-hand sides instead of n
+        return OccupationResult(matrix=_through_entrance_law(model, R @ model.M), horizon=None)
     _finite_horizon(t)
     if t <= 0:
         raise InputError(f"occupation horizon must be > 0, got {t!r}")

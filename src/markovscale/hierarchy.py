@@ -53,6 +53,11 @@ class HierarchyLevel:
     level (index 0) has no threshold and no decomposition.  The rows of
     `measures` and `aggregated` are read-only: levels share the rows a
     level leaves unchanged.
+
+    The private fields hold what the next `build_level` reads of the level
+    on the ladder's ticks.  A level without them (built elsewhere, or
+    published by `analyze`) computes its leading orders on first use and
+    counts every node as changed.
     """
 
     index: int
@@ -64,6 +69,12 @@ class HierarchyLevel:
     measures: Mapping[Node, dict[Node, Monomial]]
     aggregated: Mapping[Node, dict[Node, Monomial]]
     parent: dict[Node, Node]
+    #: node -> the leading order of its row (`_leading_order`)
+    _lead: dict | None = field(default=None, compare=False, repr=False)
+    #: the nodes the next level counts as changed whatever their minimum
+    #: exit: the classes of two or more nodes this level created, and the
+    #: rebuilt rows whose leading order is not the renamed previous one
+    _fresh: list | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -97,7 +108,7 @@ def _base_level(chain: PerturbedChain) -> HierarchyLevel:
     node_of = dict(zip(chain.states, nodes))
     agg = {node_of[s]: {node_of[d]: m for d, m in row.items()}
            for s, row in chain.tick_rows.items()}
-    return HierarchyLevel(
+    level = HierarchyLevel(
         index=0,
         alpha=None,
         nodes=nodes,
@@ -108,32 +119,58 @@ def _base_level(chain: PerturbedChain) -> HierarchyLevel:
         aggregated=agg,
         parent={},
     )
+    _leads(level)
+    return level
+
+
+def _leading_order(row) -> tuple:
+    """(minimum exit exponent, the targets attaining it, in row order) of a
+    row; (inf, []) for an empty one."""
+    emin = INF
+    targets = []
+    for v, (_, e) in row.items():
+        if e < emin:
+            emin = e
+            targets = [v]
+        elif e == emin:
+            targets.append(v)
+    return emin, targets
+
+
+def _leads(level: HierarchyLevel) -> dict:
+    """The leading order of every row of the level, computed on first use
+    where the level does not hold it yet."""
+    if level._lead is None:
+        level._lead = {u: _leading_order(row) for u, row in level.aggregated.items()}
+    return level._lead
 
 
 def next_threshold(level: HierarchyLevel) -> Exponent:
     """Smallest exit exponent among the level's recurrent nodes (inf if none)."""
-    alpha: Exponent = INF
-    for node in level.recurrent_nodes:
-        for _, e in level.aggregated[node].values():
-            if e < alpha:
-                alpha = e
-    return alpha
+    lead = _leads(level)
+    return min((lead[u][0] for u in level.recurrent_nodes), default=INF)
 
 
-def _level_support(aggregated: dict, nodes: list[Node], alpha: Exponent, leaving) -> dict:
-    """Leading-order support at threshold alpha: rows whose minimal exit
-    exponent is <= alpha contribute their min-attaining arcs, all other rows
-    are absorbing.  A row keeps its self-loop unless it has an exponent-0 arc
-    and its node is in `leaving`, the nodes of the exactly-leaving states (a
-    merged node has none: its members' leading arcs stay in its class)."""
+def _level_support(lead: dict, roots, alpha: Exponent, leaving) -> dict:
+    """Leading-order support at threshold alpha of the nodes that `roots`
+    reach in it, from the leading orders `lead` of their rows: a row whose
+    minimal exit exponent is <= alpha contributes its min-attaining arcs,
+    every other row is absorbing.  A row keeps its self-loop unless its
+    minimum is 0 and its node is in `leaving`, the nodes of the
+    exactly-leaving states (a merged node has none: its members' leading
+    arcs stay in its class)."""
     support = {}
-    for u in nodes:
-        row = aggregated[u]
-        emin = min((e for _, e in row.values()), default=INF)
+    todo = list(roots)
+    while todo:
+        u = todo.pop()
+        if u in support:
+            continue
+        emin, targets = lead[u]
         if emin <= alpha:
-            succ = {v for v, (_, e) in row.items() if e == emin}
+            succ = set(targets)
             if emin != 0 or u not in leaving:
                 succ.add(u)
+            todo.extend(targets)
         else:
             succ = {u}
         support[u] = succ
@@ -150,15 +187,45 @@ def _merge_nodes(members, state_order: dict) -> Node:
 def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain) -> HierarchyLevel:
     """Aggregate the previous level at threshold alpha.
 
+    Only the nodes that a changed node reaches in the support are
+    classified.  A node is changed if the previous level created it (a class
+    of two or more nodes), if its minimum exit exponent lies in (previous
+    alpha, alpha], or if its row was rebuilt with a leading order that is
+    not the renamed previous one; on a level that does not record what it
+    created, the base level included, every node is changed.  Every other
+    node keeps its status: a transient stays transient, and a one-node
+    class stays one, with period 1.  This is sound.  An SCC that no changed
+    node reaches consists of unchanged rows.  Their arcs lead either to
+    merged nodes, which lie outside the SCC, or to the same nodes as
+    before, so the SCC and whether it is closed are unchanged.  A row
+    rebuilt only because its targets merged keeps its leading order, with
+    one exception: the zero rule of the fold can drop an underflowed term,
+    which raises the minimum or loses a target; such a row counts as
+    changed.  Nodes reached from a changed node form a set closed under the
+    support, so `classify` on it finds their SCCs as on the whole level.
+
     A node that stays itself (a one-node class or a transient) keeps the
-    previous level's row object when none of its targets merged; every other
-    row is built anew.  Rows are never mutated once built, so levels may
-    share them."""
+    previous level's row object, and its leading order, when none of its
+    targets merged; every other row is built anew.  Rows are never mutated
+    once built, so levels may share them."""
     Q = previous.aggregated
+    lead = _leads(previous)
     state_order = chain.index
 
+    if previous._fresh is None:
+        changed = previous.nodes
+    else:
+        low = previous.alpha
+        changed = [u for u, (e, _) in lead.items() if low < e <= alpha]
+        changed.extend(previous._fresh)
     leaving = {(s,) for s in chain.leaving}
-    decomp = classify(_level_support(Q, previous.nodes, alpha, leaving))
+    reached = _level_support(lead, changed, alpha, leaving)
+    decomp = classify({u: reached[u] for u in previous.nodes if u in reached})
+    # the unreached nodes keep their status; merged in node order, which is
+    # classify's order
+    first = {cls[0]: cls for cls in decomp.recurrent}
+    transient = set(decomp.transient)
+    transient.update(t for t in previous.transient_nodes if t not in reached)
 
     parent: dict[Node, Node] = {}
     new_nodes: list[Node] = []
@@ -169,38 +236,48 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     merged: dict[Node, tuple] = {}  # node -> class, for the classes of 2+ nodes
     moved: set[Node] = set()  # the previous nodes in those classes
 
-    for cls in decomp.recurrent:
-        node = _merge_nodes(cls, state_order) if len(cls) > 1 else cls[0]
-        for member in cls:
-            parent[member] = node
+    for u in previous.nodes:
+        if u in transient:
+            new_nodes.append(u)
+            transient_nodes.append(u)
+            continue
+        cls = first.get(u)
+        if cls is None:
+            if u in reached:
+                continue  # a later member of a class already taken
+            cls = (u,)
+        if len(cls) > 1:
+            node = _merge_nodes(cls, state_order)
+            for member in cls:
+                parent[member] = node
+            merged[node] = cls
+            moved.update(cls)
+            # the kernel reads the arcs inside the class at exponent <= alpha only
+            mset = set(cls)
+            inside = {z: {v: m for v, m in Q[z].items() if v in mset and m[1] <= alpha}
+                      for z in cls}
+        else:
+            node = parent[u] = u
+            inside = {}
         new_nodes.append(node)
         recurrent_nodes.append(node)
-        period[node] = decomp.period[cls]
-        # the kernel reads the arcs inside the class at exponent <= alpha only
-        mset = set(cls)
-        inside = {u: {v: m for v, m in Q[u].items() if v in mset and m[1] <= alpha}
-                  for u in cls}
+        period[node] = decomp.period.get(cls, 1)
         try:
             measures[node] = invariant_measure(inside, cls)
         except InternalError as exc:
             raise InternalError(
                 f"level {previous.index + 1}, class {_node_name(node)}: {exc}"
             ) from exc
-        if len(cls) > 1:
-            merged[node] = cls
-            moved.update(cls)
-    for t in decomp.transient:
-        parent[t] = t
-        new_nodes.append(t)
-        transient_nodes.append(t)
 
-    # classify lists classes and transients in node order, which is state
-    # order, so only the merged list needs sorting
+    for t in transient_nodes:  # after the class members, as classify lists them
+        parent[t] = t
     new_nodes.sort(key=lambda n: state_order[n[0]])
 
     # rows of (coeff, exp) pairs, summed with the steps of mono_add and
     # mono_mul written out inline
     agg: dict[Node, dict[Node, tuple]] = {}
+    new_lead: dict[Node, tuple] = {}
+    fresh = list(merged)
     for u in new_nodes:
         cls = merged.get(u)
         if cls is not None:
@@ -218,18 +295,30 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
                             acc[tgt] = (c, e)
                         elif e == oe:
                             acc[tgt] = (oc + c, oe) if oc != 0.0 else ZERO
-        elif moved.isdisjoint(Q[u]):
-            acc = Q[u]
+            new_lead[u] = _leading_order(acc)
         else:
-            acc = {}
-            for v, m in Q[u].items():
-                tgt = parent[v]
-                # acc[tgt] = mono_add(acc[tgt], m)
-                oc, oe = acc.get(tgt, ZERO)
-                if m[1] < oe:
-                    acc[tgt] = m
-                elif m[1] == oe:
-                    acc[tgt] = (oc + m[0], oe) if oc != 0.0 else ZERO
+            row = Q[u]
+            if moved.isdisjoint(row):
+                acc = row
+                new_lead[u] = lead[u]
+            else:
+                acc = {parent[v]: m for v, m in row.items()}
+                emin, targets = lead[u]
+                if len(acc) == len(row):  # no two targets merged into one node
+                    new_lead[u] = (emin, [parent[v] for v in targets])
+                else:
+                    acc = {}
+                    for v, m in row.items():
+                        tgt = parent[v]
+                        # acc[tgt] = mono_add(acc[tgt], m)
+                        oc, oe = acc.get(tgt, ZERO)
+                        if m[1] < oe:
+                            acc[tgt] = m
+                        elif m[1] == oe:
+                            acc[tgt] = (oc + m[0], oe) if oc != 0.0 else ZERO
+                    new = new_lead[u] = _leading_order(acc)
+                    if new[0] != emin or set(new[1]) != {parent[v] for v in targets}:
+                        fresh.append(u)
         agg[u] = acc
 
     return HierarchyLevel(
@@ -242,6 +331,8 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         measures=measures,
         aggregated=agg,
         parent=parent,
+        _lead=new_lead,
+        _fresh=fresh,
     )
 
 
@@ -349,6 +440,7 @@ def analyze(chain: PerturbedChain) -> LimitModel:
                 M[i, chain.index[s]] = weight_coeff[s]
 
     for level in levels:
+        level._lead = level._fresh = None  # on ticks; a published level has none
         if level.alpha is not None:
             level.alpha = frac(level.alpha)
         level.measures = PublicTable(level.measures, scale)
@@ -418,6 +510,14 @@ def report(model: LimitModel) -> dict:
     }
 
 
+_LEVEL_KEYS = {"alpha", "classes", "transient", "measures"}
+
+
+def _names(value) -> bool:
+    """Whether a report value is a list of names."""
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
 def parse_report(source) -> dict:
     """Validate a report document (dict or JSON text) and return it as a dict.
     Any malformed document, invalid JSON text included, raises `InputError`."""
@@ -442,13 +542,35 @@ def parse_report(source) -> dict:
         raise InputError("report 'levels' must have one entry per non-terminal alpha")
     if not isinstance(doc["classes"], list):
         raise InputError("report 'classes' must be a list")
+    for i, lev in enumerate(doc["levels"]):
+        if not isinstance(lev, dict) or lev.keys() != _LEVEL_KEYS:
+            raise InputError(f"report 'levels'[{i}] must be an object with the keys "
+                             "alpha, classes, transient and measures")
     if type(doc["N"]) is not int or doc["N"] < 1:  # True is an int too
         raise InputError("report 'N' must be a positive integer")
-    for a in doc["alphas"]:
+    alphas = []
+    for i, a in enumerate(doc["alphas"]):
         try:
-            parse_exponent(a)
+            alphas.append(parse_exponent(a))
         except ValueError:
             raise InputError(f"report 'alphas' holds {a!r}, which is not an exponent") from None
+        if i and not alphas[i] > alphas[i - 1]:
+            raise InputError(f"report 'alphas'[{i}] does not exceed 'alphas'[{i - 1}]")
+    for i, cls in enumerate(doc["classes"]):
+        if not cls or not _names(cls):
+            raise InputError(f"report 'classes'[{i}] must be a nonempty list of names")
+    for i, lev in enumerate(doc["levels"]):
+        try:
+            same = parse_exponent(lev["alpha"]) == alphas[i]
+        except ValueError:
+            same = False
+        if not same:
+            raise InputError(f"report 'levels'[{i}] has an 'alpha' other than 'alphas'[{i}]")
+        classes = lev["classes"]
+        if (not isinstance(classes, list) or not all(c and _names(c) for c in classes)
+                or not _names(lev["transient"]) or not isinstance(lev["measures"], dict)):
+            raise InputError(f"report 'levels'[{i}] has a malformed 'classes', 'transient' "
+                             "or 'measures'")
     nclasses = len(doc["classes"])
     for key, rows, cols in (("mu", None, nclasses), ("A", nclasses, nclasses), ("M", nclasses, None)):
         mat = doc[key]

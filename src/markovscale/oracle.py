@@ -11,7 +11,7 @@ import numpy as np
 
 from .chain_model import PerturbedChain
 from .errors import InputError, InternalError, ResourceError
-from .evaluator import occupation, position
+from .evaluator import occupation, out_of_memory, position
 from .hierarchy import LimitModel
 
 #: refuse matrix powers beyond this many steps
@@ -31,7 +31,10 @@ def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
             f"lambda {lam!r} outside the feasible range (0, {chain.lambda_max!r}]"
         )
     n, D, index = chain.n_states, chain.scale.D, chain.index
-    Q = np.zeros((n, n))
+    try:
+        Q = np.zeros((n, n))
+    except MemoryError:
+        raise out_of_memory((n, n)) from None
     for src, row in chain.tick_rows.items():
         for dst, m in row.items():
             Q[index[src], index[dst]] = m.coeff * lam ** (m.exp / D)

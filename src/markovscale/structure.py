@@ -39,10 +39,10 @@ class ClassDecomposition:
 def _sccs(nodes, succ_map, finished=()):
     """Iterative Tarjan; returns SCCs as lists (reverse topological order).
     Nodes in `finished` already form components of their own and are passed
-    over, which is sound for nodes that reach nothing else (sinks)."""
+    over, which is sound for nodes that reach nothing else (sinks).  A node
+    is on the stack while it has a `low` entry."""
     index: dict = dict.fromkeys(finished, -1)
     low: dict = {}
-    onstack: dict = {}
     stack: list = []
     out: list[list] = []
     counter = 0
@@ -52,37 +52,36 @@ def _sccs(nodes, succ_map, finished=()):
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        onstack[root] = True
         work = [(root, iter(succ_map.get(root, ())))]
         while work:
             u, it = work[-1]
-            pushed = False
             for v in it:
                 if v not in index:
                     index[v] = low[v] = counter
                     counter += 1
                     stack.append(v)
-                    onstack[v] = True
                     work.append((v, iter(succ_map.get(v, ()))))
-                    pushed = True
                     break
-                if onstack.get(v):
-                    low[u] = min(low[u], index[v])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                p = work[-1][0]
-                low[p] = min(low[p], low[u])
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == u:
-                        break
-                out.append(comp)
+                if v in low:
+                    iv = index[v]
+                    if iv < low[u]:
+                        low[u] = iv
+            else:
+                work.pop()
+                lu = low[u]
+                if work:
+                    p = work[-1][0]
+                    if lu < low[p]:
+                        low[p] = lu
+                if lu == index[u]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        del low[w]
+                        comp.append(w)
+                        if w == u:
+                            break
+                    out.append(comp)
     return out
 
 
@@ -134,7 +133,9 @@ def classify(support: dict) -> ClassDecomposition:
         if closed:
             cls = tuple(sorted(comp, key=pos.__getitem__))
             recurrent.append(cls)
-            period[cls] = _class_period(list(cls), support)
+            # a self-loop is a cycle of length 1
+            selfloop = any(u in support[u] for u in cls)
+            period[cls] = 1 if selfloop else _class_period(list(cls), support)
         else:
             transient.extend(comp)
     recurrent.sort(key=lambda cls: pos[cls[0]])

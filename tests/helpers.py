@@ -1,6 +1,8 @@
 """Shared test utilities: fixture paths, random chain generators, numeric oracles."""
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from markovscale.asymptotics import (
 from markovscale.chain_model import leaves_exactly, read_number
 from markovscale.evaluator import occupation, position
 from markovscale.games import load_game
+from markovscale import hierarchy
 from markovscale.hierarchy import build_level, next_threshold
 from markovscale.structure import classify
 
@@ -68,6 +71,20 @@ COEFF_RTOL = 1e-9
 
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def bench_jobs(workload: str, seed: int, tiny: bool = False) -> list:
+    """The jobs of a benchmark workload (bench/workloads.py), `tiny` ones
+    for the two small jobs the benchmark's own tests run."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        return module.make_inputs(workload, seed, tiny)
+    finally:
+        del sys.modules[spec.name]
 
 
 def mono_close(a, b, rtol: float = COEFF_RTOL) -> bool:
@@ -217,6 +234,76 @@ def random_nested_chain(rng: np.random.Generator, depth: int = 3):
                 c = float(rng.uniform(0.1, 0.45))
                 entries[(src, dst)] = monomial(c, Fraction(k - 1, depth))
     return chain_from_entries(states, entries)
+
+
+#: coefficients whose products and quotients underflow to 0.0
+TINY_COEFFS = (5e-324, 1e-300, 1e-170)
+
+
+def with_tiny_coefficients(rng: np.random.Generator, chain, share: float = 0.3):
+    """The chain with each coefficient replaced, with probability `share`,
+    by one of TINY_COEFFS.  Measures and aggregated exits then underflow to
+    coefficient 0.0 at finite exponents, where the fold's zero rule drops
+    terms."""
+    entries = {key: Monomial(float(rng.choice(TINY_COEFFS)), m.exp) if rng.random() < share else m
+               for key, m in chain.entries.items()}
+    return chain_from_entries(list(chain.states), entries)
+
+
+def random_zero_rule_chain(rng: np.random.Generator):
+    """Four exponent-0 rings X, B, C and Z of two or three states, built so
+    that the fold's zero rule drops a term of a renamed row.  X's first state
+    leads into B with coefficient 5e-324, which X's measure (below 1/2 there)
+    turns into 0.0; X's last state leads into C; both arcs have exponent e1.
+    B and C join at e2 > e1, and B leaves for Z at e3 > e2, below 1.  When B
+    and C merge, X's two terms sum to the zero element, so X's minimum exit
+    rises from e1 to its exit at exponent 1, if it drew one: X is transient
+    up to that level and a one-node class at e3."""
+    rings = {name: [f"{name}{i}" for i in range(int(rng.integers(2, 4)))] for name in "XBCZ"}
+    entries = {}
+    for ring in rings.values():
+        for i, s in enumerate(ring):
+            # the first state leaves its ring fastest, so its measure is below 1/2
+            c = 0.5 if i == 0 else float(rng.uniform(0.1, 0.4))
+            entries[(s, ring[(i + 1) % len(ring)])] = monomial(c, Fraction(0))
+    e1, e2, e3 = sorted(rng.choice([Fraction(k, 6) for k in range(1, 6)], size=3, replace=False))
+    X, B, C, Z = rings.values()
+    entries[(X[0], B[int(rng.integers(len(B)))])] = monomial(5e-324, e1)
+    entries[(X[-1], C[int(rng.integers(len(C)))])] = monomial(float(rng.uniform(0.2, 1.0)), e1)
+    entries[(B[-1], C[0])] = monomial(float(rng.uniform(0.2, 1.0)), e2)
+    entries[(C[-1], B[0])] = monomial(float(rng.uniform(0.2, 1.0)), e2)
+    entries[(B[0], Z[0])] = monomial(float(rng.uniform(0.2, 1.0)), e3)
+    entries[(Z[0], X[0])] = monomial(float(rng.uniform(0.2, 1.0)), Fraction(1))
+    if rng.random() < 0.5:
+        entries[(X[0], Z[-1])] = monomial(float(rng.uniform(0.2, 1.0)), Fraction(1))
+    return chain_from_entries([s for ring in rings.values() for s in ring], entries)
+
+
+def check_incremental_ladder(chain) -> int:
+    """Climb the aggregation ladder on the chain's ticks, as `analyze` does,
+    and check every level built against `classify` over the full support of
+    the level before, taken from leading orders recomputed from its rows:
+    the same classes in the same order, the same periods and the same
+    transients.  Returns the number of levels built."""
+    leaving = {(s,) for s in chain.leaving}
+    level = hierarchy._base_level(chain)
+    for built in range(2 * chain.n_states + 2):
+        alpha = next_threshold(level)
+        if alpha >= chain.scale.D or level.alpha is not None and not alpha > level.alpha:
+            return built
+        lead = {u: hierarchy._leading_order(row) for u, row in level.aggregated.items()}
+        assert level._lead == lead
+        support = hierarchy._level_support(lead, level.nodes, alpha, leaving)
+        full = classify({u: support[u] for u in level.nodes})
+        try:
+            level = build_level(level, alpha, chain)
+        except InternalError:  # a measure underflowed to zero: no level
+            return built
+        assert [tuple(level.measures[node]) for node in level.recurrent_nodes] == full.recurrent
+        assert [level.period[node] for node in level.recurrent_nodes] == \
+            [full.period[cls] for cls in full.recurrent]
+        assert level.transient_nodes == full.transient
+    raise AssertionError("the ladder did not terminate")
 
 
 def sub_unit_skeleton(chain) -> dict:

@@ -256,6 +256,36 @@ def test_malformed_documents_are_rejected(doc):
         load_chain(doc)
 
 
+@pytest.mark.parametrize(
+    "transition, message",
+    [
+        ({"from": "1", "to": "2", "coeff": 1.0}, "transitions[0]: missing keys ['exp']"),
+        ({"from": "1", "to": "2", "coeff": 1.0, "exp": "1", "why": 1},
+         "transitions[0]: unknown keys ['why']"),
+        # unknown keys are named before missing ones
+        ({"from": "1", "to": "2", "why": 1}, "transitions[0]: unknown keys ['why']"),
+        (arc("1", "2", "0.5", "1"), "transitions[0]: 'coeff' must be a number"),
+        (arc("1", "2", True, "1"), "transitions[0]: 'coeff' must be a number"),
+        (arc("1", "2", 10**401, "1"), "transitions[0]: 'coeff' is too large for a float"),
+        (arc("1", "2", -0.5, "1"), "transitions[0]: 'coeff' must be finite and > 0, got -0.5"),
+        (arc("1", "2", 0, "1"), "transitions[0]: 'coeff' must be finite and > 0, got 0"),
+        (arc("1", "2", math.nan, "1"), "transitions[0]: 'coeff' must be finite and > 0, got nan"),
+    ],
+)
+def test_a_malformed_transition_is_named_with_its_problem(transition, message):
+    # the loader compares each transition's keys once and takes a float
+    # coefficient as it is; anything else goes through the full checks
+    with pytest.raises(ChainFormatError) as err:
+        load_chain(two_state([transition]))
+    assert str(err.value) == message
+
+
+def test_integer_coefficients_load_as_floats():
+    chain = load_chain(two_state([arc("1", "2", 1, "1"), arc("2", "1", 3, "1/2")]))
+    assert [type(m.coeff) for m in chain.entries.values()] == [float, float]
+    assert chain == load_chain(two_state([arc("1", "2", 1.0, "1"), arc("2", "1", 3.0, "1/2")]))
+
+
 def test_exponent_zero_row_mass_above_one_is_rejected():
     doc = {
         "states": ["1", "2", "3"],

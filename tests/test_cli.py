@@ -77,6 +77,22 @@ def test_resource_limit_exits_two(capsys, tmp_path):
     assert "power cap" in err
 
 
+def test_running_out_of_memory_prints_one_internal_error_line(capsys, monkeypatch):
+    # a patched allocator stands in for an n x n result too large for memory
+    take = np.take
+
+    def no_memory(a, indices, *args, **kwargs):
+        if len(indices) == 8:
+            raise MemoryError("Unable to allocate")
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", no_memory)
+    rc, out, err = run(capsys, "position", EIGHT, "--t", "1")
+    assert rc == 2
+    assert out == ""
+    assert err == "internal error: out of memory for a 8x8 float array\n"
+
+
 def test_thirteen_state_ring_analyzes(capsys, tmp_path):
     rc, out, _ = run(capsys, "analyze", _ring13(tmp_path))
     assert rc == 0

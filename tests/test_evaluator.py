@@ -7,6 +7,7 @@ import pytest
 
 from markovscale import (
     InputError,
+    ResourceError,
     absorbing_closed_form,
     analyze,
     critical_closed_form,
@@ -350,12 +351,36 @@ def test_indicator_rows_are_gathered_bit_for_bit_and_split_rows_within_float_noi
                  (position(model, t=2.5), mu @ expm(A * 2.5) @ M),
                  (occupation(model, t=1.0).matrix,
                   mu @ np.linalg.solve(A - eye, expm(A - eye) - eye) @ M),
-                 (occupation(model, total=True).matrix, mu @ np.linalg.solve(eye - A, M)),
+                 (occupation(model, total=True).matrix, mu @ (np.linalg.solve(eye - A, eye) @ M)),
                  (limit_payoff(model, g), mu @ np.linalg.solve(eye - A, M @ g))]
         held = model.entry >= 0
         for got, want in pairs:
             assert np.array_equal(got[held], want[held])
             np.testing.assert_allclose(got[model.split], want[model.split], rtol=0, atol=1e-15)
+        # the total occupation solves the c x c system and then multiplies by
+        # M; solving with M's n columns as right-hand sides agrees within noise
+        np.testing.assert_allclose(np.linalg.solve(eye - A, eye) @ M, np.linalg.solve(eye - A, M),
+                                   rtol=0, atol=1e-15)
+
+
+def test_running_out_of_memory_for_the_state_rows_is_a_resource_error(monkeypatch):
+    # the gather through the entrance law forms the n x n result (n for a
+    # payoff); numpy's MemoryError there becomes a ResourceError naming it
+    model = analyze(load_chain(fixture("eightstate.json")))
+    take = np.take
+
+    def no_memory(a, indices, *args, **kwargs):
+        if indices is model.entry:
+            raise MemoryError("Unable to allocate")
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", no_memory)
+    for result in (lambda: position(model, t=1.0), lambda: occupation(model, t=1.0),
+                   lambda: occupation(model, total=True)):
+        with pytest.raises(ResourceError, match="out of memory for a 8x8 float array"):
+            result()
+    with pytest.raises(ResourceError, match="out of memory for a 8 float array"):
+        limit_payoff(model, np.zeros(8))
 
 
 def test_positions_form_a_semigroup_and_m_inverts_mu(seeded_models):

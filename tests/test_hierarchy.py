@@ -20,21 +20,27 @@ from markovscale import (
 )
 from markovscale import hierarchy
 from markovscale.evaluator import expm
+from markovscale.games import compile_game, load_game
 from markovscale.hierarchy import _level_support, build_level, next_threshold
 from markovscale.oracle import convergence_sweep, instantiate, matrix_power_position
 
 from helpers import (
     COPRIME_POOL,
+    GAME_FIXTURES,
     averaging_period,
+    bench_jobs,
+    check_incremental_ladder,
     fixture,
     frozen_analyze,
     random_chain,
     random_nested_chain,
     random_periodic_chain,
     random_trap_chain,
+    random_zero_rule_chain,
     reference_ladder,
     sub_unit_skeleton,
     support_graph,
+    with_tiny_coefficients,
 )
 
 
@@ -184,7 +190,7 @@ def test_surviving_diagonal_rule_agrees_across_callers_at_the_tolerance(mass0, l
     assert chain.leaving == ({"a", "b"} if leaves else {"b"})
     assert ("a" in sub_unit_skeleton(chain)["a"]) is not leaves
     assert ("a" in support_graph(rows)["a"]) is not leaves
-    support = _level_support(base.aggregated, base.nodes, F(0), {(s,) for s in chain.leaving})
+    support = _level_support(hierarchy._leads(base), base.nodes, F(0), {(s,) for s in chain.leaving})
     assert (("a",) in support[("a",)]) is not leaves
     assert model.classes == [("a", "b"), ("c",)]
     assert model.levels[1].period[("a", "b")] == (2 if leaves else 1)
@@ -295,6 +301,86 @@ def test_analyze_matches_the_frozen_reference_ladder():
     assert kept >= 200 and remapped >= 50
     # rows whose entrance law splits over two or more classes
     assert split_rows >= 100
+
+
+# ------------------------------------------------ incremental classification
+
+
+def _chain_of(job):
+    doc = json.loads(job.text)
+    return compile_game(*load_game(doc))[0] if job.kind == "game" else load_chain(doc)
+
+
+def test_each_level_classifies_like_the_full_support():
+    # build_level classifies only what a changed node reaches and keeps the
+    # status of every other node; check_incremental_ladder compares each
+    # level with classify over the whole support.  Every other seeded chain
+    # has tiny coefficients, and the zero-rule chains make a renamed row's
+    # minimum exit rise
+    rng = np.random.default_rng(18)
+    chains = [load_chain(fixture(name)) for name in CHAIN_FIXTURES]
+    chains += [compile_game(*load_game(fixture(f"{name}.json")))[0] for name in GAME_FIXTURES]
+    generators = (random_nested_chain, random_periodic_chain, random_trap_chain)
+    for i in range(360):
+        chain = generators[i % 3](rng)
+        chains.append(with_tiny_coefficients(rng, chain) if i % 2 else chain)
+    zero_rule = [random_zero_rule_chain(rng) for _ in range(40)]
+    chains += zero_rule
+    chains += [_chain_of(job) for name in ("ladder", "game_verify") for job in bench_jobs(name, 11, tiny=True)]
+    levels = sum(check_incremental_ladder(chain) for chain in chains)
+    assert levels >= 850
+    # X's terms into B and C sum to the zero element when B and C merge, so
+    # X, transient until then, is a one-node class at the next level
+    for chain in zero_rule:
+        x = tuple(s for s in chain.states if s.startswith("X"))
+        ladder = analyze(chain).levels
+        assert x in ladder[3].transient_nodes and x in ladder[4].recurrent_nodes
+
+
+def test_classify_sees_only_the_nodes_a_changed_node_reaches(monkeypatch):
+    # the changed-node rule, restated from the published levels: a node the
+    # previous level created, a node whose minimum exit lies in (previous
+    # alpha, alpha], and a rebuilt row whose leading order is not the
+    # renamed one; classify receives what they reach, in node order
+    chain = _chain_of(bench_jobs("ladder", 11, tiny=True)[0])
+    seen = []
+    real = hierarchy.classify
+
+    def spy(support):
+        seen.append(list(support))
+        return real(support)
+
+    monkeypatch.setattr(hierarchy, "classify", spy)
+    model = analyze(chain)
+    assert all(lev._lead is None and lev._fresh is None for lev in model.levels)
+    leaving = {(s,) for s in chain.leaving}
+    lead = hierarchy._leading_order
+    want = []
+    for k, lev in enumerate(model.levels[1:], start=1):
+        prev = model.levels[k - 1]
+        leads = {u: lead(prev.aggregated[u]) for u in prev.nodes}
+        if k == 1:
+            changed = set(prev.nodes)
+        else:
+            before = model.levels[k - 2]
+            created = {u for u in prev.recurrent_nodes if len(prev.measures[u]) > 1}
+            changed = created | {u for u in prev.nodes if prev.alpha < leads[u][0] <= lev.alpha}
+            for u in set(prev.nodes) - created:
+                emin, targets = lead(before.aggregated[u])
+                if leads[u][0] != emin or set(leads[u][1]) != {prev.parent[v] for v in targets}:
+                    changed.add(u)
+        support = hierarchy._level_support(leads, prev.nodes, lev.alpha, leaving)
+        reached, todo = set(), list(changed)
+        while todo:
+            u = todo.pop()
+            if u not in reached:
+                reached.add(u)
+                todo.extend(support[u])
+        want.append([u for u in prev.nodes if u in reached])
+    assert seen == want
+    # 96 states: 64 in 4-cycles and 32 feeders, over five levels
+    assert [len(nodes) for nodes in seen] == [96, 48, 16, 8, 4]
+    assert sum(map(len, seen)) < sum(len(lev.nodes) for lev in model.levels[:-1])
 
 
 def test_levels_read_in_every_way_have_fraction_exponents():
@@ -510,3 +596,24 @@ def test_parse_report_rejects_malformed_documents():
     for alphas in ([5], ["x"], ["1/0"], [None]):
         with pytest.raises(InputError, match="'alphas'"):
             parse_report(dict(good, alphas=alphas))
+    # the level and class entries the README documents, named by index
+    eight = report(analyze(load_chain(fixture("eightstate.json"))))
+    levels = eight["levels"]
+    for doc, where in (
+        (dict(eight, levels=[5] * 4), r"'levels'\[0\] must be an object"),
+        (dict(eight, levels=levels[:3] + [dict(levels[3], junk=1)]), r"'levels'\[3\] must be an object"),
+        (dict(eight, levels=levels[:1] + [{"alpha": "1/5"}] + levels[2:]), r"'levels'\[1\] must be an object"),
+        (dict(eight, levels=[dict(levels[0], alpha="1/5")] + levels[1:]), r"'levels'\[0\] has an 'alpha'"),
+        (dict(eight, levels=levels[:2] + [dict(levels[2], alpha=None)] + levels[3:]), r"'levels'\[2\] has an 'alpha'"),
+        (dict(eight, levels=levels[:1] + [dict(levels[1], classes=[[]])] + levels[2:]),
+         r"'levels'\[1\] has a malformed"),
+        (dict(eight, levels=levels[:1] + [dict(levels[1], transient=[5])] + levels[2:]),
+         r"'levels'\[1\] has a malformed"),
+        (dict(eight, classes=[5, "x", ["7", "8"]]), r"'classes'\[0\] must be a nonempty list"),
+        (dict(eight, classes=[["1", "2", "3"], [], ["7", "8"]]), r"'classes'\[1\] must be a nonempty list"),
+        (dict(eight, classes=[["1", "2", "3"], ["4"], ["7", 8]]), r"'classes'\[2\] must be a nonempty list"),
+        (dict(eight, alphas=["0", "2/5", "1/5", "3/5", "1"]), r"'alphas'\[2\] does not exceed 'alphas'\[1\]"),
+        (dict(eight, alphas=["0", "1/5", "2/5", "3/5", "3/5"]), r"'alphas'\[4\] does not exceed"),
+    ):
+        with pytest.raises(InputError, match=where):
+            parse_report(doc)

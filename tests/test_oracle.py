@@ -50,6 +50,20 @@ def flip_chain():
 # ------------------------------------------------------------- instantiate
 
 
+def test_instantiating_a_matrix_that_does_not_fit_is_a_resource_error(monkeypatch):
+    chain = load_chain(fixture("eightstate.json"))
+    zeros = np.zeros
+
+    def no_memory(shape, *args, **kwargs):
+        if shape == (8, 8):
+            raise MemoryError("Unable to allocate")
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", no_memory)
+    with pytest.raises(ResourceError, match="out of memory for a 8x8 float array"):
+        instantiate(chain, 1e-3)
+
+
 def test_instantiate_fills_the_diagonal():
     Q = instantiate(flip_chain(), 0.1)
     np.testing.assert_allclose(Q, [[0.9, 0.1], [0.1, 0.9]], atol=0)

@@ -8,11 +8,8 @@ coefficients, exponent ties, products and quotients that underflow to a
 exponents.  The references are the `mono_*` copies in `helpers`.
 """
 
-import importlib.util
 import json
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -23,7 +20,8 @@ from markovscale.asymptotics import ZERO, mono_add, mono_mul
 from markovscale.hierarchy import HierarchyLevel, build_level, next_threshold
 from markovscale.structure import ClassDecomposition
 
-from helpers import _frozen_entrance_law, _frozen_eliminate, _frozen_invariant_measure
+from helpers import (_frozen_entrance_law, _frozen_eliminate, _frozen_invariant_measure, bench_jobs,
+                     check_incremental_ladder)
 
 F = Fraction
 
@@ -240,6 +238,8 @@ def chains(draw):
 def test_build_level_aggregates_like_its_mono_chains_bit_for_bit(chain):
     # on the chain's int ticks, as analyze runs it, and on its Fraction exponents
     _check_ladder(chain, hierarchy._base_level(chain), chain.scale.D)
+    # each level classifies like the full support, zero-rule drops included
+    check_incremental_ladder(chain)
     nodes = [(s,) for s in chain.states]
     agg = {n: {} for n in nodes}
     for (src, dst), m in chain.entries.items():
@@ -252,19 +252,6 @@ def test_build_level_aggregates_like_its_mono_chains_bit_for_bit(chain):
 # ------------------------------------------------- Monomial traffic bound
 
 
-def _bench_jobs(workload: str, seed: int) -> list:
-    """The job texts of a benchmark workload (bench/workloads.py)."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        return [json.loads(job.text) for job in module.make_inputs(workload, seed)]
-    finally:
-        del sys.modules[spec.name]
-
-
 #: Monomials that analyze may build beyond one per class member that the
 #: kernel returns
 MONOMIAL_SLACK = 8
@@ -274,7 +261,8 @@ def test_analyze_builds_monomials_only_for_the_measures_it_returns(monkeypatch):
     # the kernel and the ladder run on pairs; a Monomial is built for each
     # member of a class of two or more nodes (one-node classes share ONE),
     # and the public tables convert rows only when read
-    docs = [_bench_jobs("dense_classes", 11)[0], _bench_jobs("ladder", 11)[0]]
+    docs = [json.loads(bench_jobs("dense_classes", 11)[0].text),
+            json.loads(bench_jobs("ladder", 11)[0].text)]
     chains = [load_chain(doc) for doc in docs]
     built = [0]
     new = Monomial.__new__

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from markovscale import InternalError, load_chain, monomial
 from markovscale.asymptotics import mono_eval
 from markovscale.oracle import instantiate
-from markovscale.structure import ClassDecomposition, classify, entrance_law, invariant_measure
+from markovscale.structure import ClassDecomposition, _sccs, classify, entrance_law, invariant_measure
 
 from helpers import (
     EXPONENT_POOL,
@@ -95,6 +95,41 @@ def test_classify_is_idempotent_and_permutation_equivariant():
     dec3 = classify(shuffled)
     assert {frozenset(c) for c in dec1.recurrent} == {frozenset(c) for c in dec3.recurrent}
     assert set(dec1.transient) == set(dec3.transient)
+
+
+def test_classify_matches_a_reachability_reference():
+    # closed classes by mutual reachability, periods as the gcd of the
+    # lengths of closed walks of at most |class| steps; the components come
+    # out of the Tarjan walk in reverse topological order
+    rng = np.random.default_rng(18)
+    for _ in range(400):
+        n = int(rng.integers(1, 10))
+        names = [f"n{i}" for i in rng.permutation(n)]
+        support = {u: {v for v in names if rng.random() < 0.25} for u in names}
+        adj = np.array([[v in support[u] for v in names] for u in names], dtype=int)
+        reach = np.eye(n, dtype=int) | adj
+        for _ in range(n):
+            reach = ((reach @ reach) > 0).astype(int)
+        comps = []
+        for i in range(n):
+            comp = tuple(names[j] for j in range(n) if reach[i, j] and reach[j, i])
+            if comp not in comps:
+                comps.append(comp)
+        pos = {u: i for i, u in enumerate(names)}
+        closed = [c for c in comps if all(v in c for u in c for v in support[u])]
+        dec = classify(support)
+        assert dec.recurrent == sorted(closed, key=lambda c: pos[c[0]])
+        assert dec.transient == [u for u in names if not any(u in c for c in closed)]
+        for cls in closed:
+            idx = [pos[u] for u in cls]
+            sub, walk, g = adj[np.ix_(idx, idx)], np.eye(len(cls), dtype=int), 0
+            for length in range(1, len(cls) + 1):
+                walk = ((walk @ sub) > 0).astype(int)
+                if walk.trace():
+                    g = np.gcd(g, length)
+            assert dec.period[cls] == (g or 1)
+        order = {u: k for k, comp in enumerate(_sccs(names, support)) for u in comp}
+        assert all(order[v] <= order[u] for u in names for v in support[u])
 
 
 # -------------------------------------------------------- invariant measure
