@@ -31,6 +31,11 @@ EXACT_LEAVING_TOL = 1e-9
 #: ticks above this are checked for exponents too large for a float
 _HUGE_TICK = 2**1000
 
+#: `_tuple_new(Monomial, (c, e))` is `Monomial(c, e)` without the named
+#: tuple's Python-level `__new__`, at about half the cost; the loaders make
+#: one per chain entry and per strategy weight
+_tuple_new = tuple.__new__
+
 _CHAIN_KEYS = {"states", "transitions"}
 _TRANSITION_KEYS = {"from", "to", "coeff", "exp"}
 
@@ -147,7 +152,8 @@ def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
         seen.add(s)
 
     rows: dict[str, dict[str, Monomial]] = {s: {} for s in states}
-    for (src, dst), (c, t) in entries.items():
+    for (src, dst), ct in entries.items():
+        c, t = ct
         if src not in seen:
             raise ChainFormatError(f"transition from unknown state {src!r}")
         if dst not in seen:
@@ -156,9 +162,9 @@ def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
             raise ChainFormatError(
                 f"diagonal entry {src!r} -> {dst!r} is implied and must not be given"
             )
-        if c == 0.0:
-            continue  # zero entries are simply absent
         if not 0 < c < INF:  # NaN fails too
+            if c == 0.0:
+                continue  # zero entries are simply absent
             raise ChainFormatError(
                 f"transition {src!r} -> {dst!r}: coefficient must be finite and > 0, got {c!r}"
             )
@@ -169,7 +175,7 @@ def build_chain(states, entries: dict, scale: TickScale) -> PerturbedChain:
                 raise ChainFormatError(
                     f"transition {src!r} -> {dst!r}: exponent is too large for a float"
                 ) from None
-        rows[src][dst] = Monomial(c, t)
+        rows[src][dst] = _tuple_new(Monomial, ct)
 
     leaving = []
     for s in states:

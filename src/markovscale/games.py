@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import INF, Exponent, Monomial, TickScale, parse_exponent
-from .chain_model import PerturbedChain, build_chain, leaves_exactly, read_json_file, read_number
+from .chain_model import PerturbedChain, _tuple_new, build_chain, leaves_exactly, read_json_file, read_number
 from .errors import ChainFormatError
 from .evaluator import limit_payoff
 from .hierarchy import analyze
@@ -38,20 +38,23 @@ class StochasticGame:
     transition: dict[str, dict[str, dict[str, dict[str, float]]]]  # s -> a1 -> a2 -> dest -> prob
 
 
-def _validate_actions(states, spec, who) -> dict[str, tuple[str, ...]]:
-    if not isinstance(spec, dict) or set(spec) != set(states):
+def _validate_actions(known, spec, who) -> tuple[dict, dict]:
+    """Each state's action list, checked, as a tuple and as a set (the set
+    is the key set that the transition rows must have)."""
+    if not isinstance(spec, dict) or spec.keys() != known:
         raise ChainFormatError(f"{who} must map every state to its action list")
-    out = {}
+    out, names = {}, {}
     for s, acts in spec.items():
         if not isinstance(acts, list) or not acts:
             raise ChainFormatError(f"{who}[{s!r}] must be a nonempty list")
         for i, a in enumerate(acts):
             if not isinstance(a, str):
                 raise ChainFormatError(f"{who}[{s!r}][{i}] must be an action name, got {a!r}")
-        if len(set(acts)) != len(acts):
+        names[s] = set(acts)
+        if len(names[s]) != len(acts):
             raise ChainFormatError(f"{who}[{s!r}] has duplicate actions")
         out[s] = tuple(acts)
-    return out
+    return out, names
 
 
 def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
@@ -65,16 +68,18 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
          "transition": {state: {a1: {a2: {dest: prob}}}},
          "strategy1": {state: {action: {"coeff": c, "exp": "e"}}},
          "strategy2": {...}}
+
+    Every number is checked and converted once, where it is read: a float
+    is taken as it is, anything else goes through `read_number`.
     """
     doc = read_json_file(source, "game") if isinstance(source, (str, Path)) else source
     if not isinstance(doc, dict):
         raise ChainFormatError("game document must be a JSON object")
-    extra = set(doc) - _GAME_KEYS
-    if extra:
-        raise ChainFormatError(f"unknown game keys: {sorted(extra)}")
-    missing = _GAME_KEYS - set(doc)
-    if missing:
-        raise ChainFormatError(f"game document is missing keys: {sorted(missing)}")
+    if doc.keys() != _GAME_KEYS:
+        extra = set(doc) - _GAME_KEYS
+        if extra:
+            raise ChainFormatError(f"unknown game keys: {sorted(extra)}")
+        raise ChainFormatError(f"game document is missing keys: {sorted(_GAME_KEYS - set(doc))}")
 
     states = doc["states"]
     if not isinstance(states, list) or not states:
@@ -82,76 +87,75 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
     for i, s in enumerate(states):
         if not isinstance(s, str) or not s:
             raise ChainFormatError(f"'states'[{i}] must be a nonempty name, got {s!r}")
-    if len(set(states)) != len(states):
+    known = set(states)
+    if len(known) != len(states):
         raise ChainFormatError("'states' must be a nonempty list of distinct names")
     states = tuple(states)
-    known = set(states)
-    actions1 = _validate_actions(states, doc["actions1"], "actions1")
-    actions2 = _validate_actions(states, doc["actions2"], "actions2")
+    actions1, names1 = _validate_actions(known, doc["actions1"], "actions1")
+    actions2, names2 = _validate_actions(known, doc["actions2"], "actions2")
 
-    payoff = {}
+    pspec = doc["payoff"]
+    flat: list[float] = []  # every state's payoffs, row-major, in state order
     for s in states:
-        rows = doc["payoff"].get(s) if isinstance(doc["payoff"], dict) else None
+        rows = pspec.get(s) if isinstance(pspec, dict) else None
         if rows is None:
             raise ChainFormatError(f"payoff is missing state {s!r}")
+        _read_payoff(s, rows, len(actions1[s]), len(actions2[s]), flat)
+    if pspec.keys() != known:
+        for s in pspec:
+            if s not in known:
+                raise ChainFormatError(f"payoff names unknown state {s!r}")
+    # one array for the document; each state's matrix is a view of its part
+    values = np.array(flat, dtype=float)
+    payoff, end = {}, 0
+    for s in states:
         n1, n2 = len(actions1[s]), len(actions2[s])
-        if not isinstance(rows, list) or len(rows) != n1 or any(
-            not isinstance(row, list) or len(row) != n2 for row in rows
-        ):
-            raise ChainFormatError(f"payoff[{s!r}] must be a list of {n1} rows of {n2} numbers")
-        mat = np.empty((n1, n2))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                v = mat[i, j] = read_number(v, "payoff[%r][%d][%d]", s, i, j)
-                if not 0.0 <= v <= 1.0:  # NaN fails too
-                    raise ChainFormatError(f"payoff[{s!r}] values must lie in [0, 1]")
-        payoff[s] = mat
-    for s in doc["payoff"]:
-        if s not in known:
-            raise ChainFormatError(f"payoff names unknown state {s!r}")
+        start, end = end, end + n1 * n2
+        payoff[s] = values[start:end].reshape(n1, n2)
 
     transition = {}
     tspec = doc["transition"]
-    if not isinstance(tspec, dict) or set(tspec) != set(states):
+    if not isinstance(tspec, dict) or tspec.keys() != known:
         raise ChainFormatError("'transition' must map every state")
     for s in states:
-        bys = {}
-        if not isinstance(tspec[s], dict) or set(tspec[s]) != set(actions1[s]):
+        bys = transition[s] = {}
+        spec = tspec[s]
+        if not isinstance(spec, dict) or spec.keys() != names1[s]:
             raise ChainFormatError(f"transition[{s!r}] must map every action of player 1")
+        acts2, keys2 = actions2[s], names2[s]
         for a1 in actions1[s]:
-            bya = {}
-            cell = tspec[s][a1]
-            if not isinstance(cell, dict) or set(cell) != set(actions2[s]):
+            bya = bys[a1] = {}
+            cell = spec[a1]
+            if not isinstance(cell, dict) or cell.keys() != keys2:
                 raise ChainFormatError(
                     f"transition[{s!r}][{a1!r}] must map every action of player 2"
                 )
-            for a2 in actions2[s]:
+            for a2 in acts2:
                 dist = cell[a2]
                 if not isinstance(dist, dict) or not dist:
                     raise ChainFormatError(
                         f"transition[{s!r}][{a1!r}][{a2!r}] must be a nonempty map"
                     )
+                clean = bya[a2] = dist.copy()
                 total = 0.0
-                clean = {}
                 for dest, p in dist.items():
                     if dest not in known:
                         raise ChainFormatError(
                             f"transition[{s!r}][{a1!r}][{a2!r}] targets unknown state {dest!r}"
                         )
-                    p = read_number(p, "transition[%r][%r][%r][%r]", s, a1, a2, dest)
+                    if type(p) is not float:
+                        p = clean[dest] = read_number(
+                            p, "transition[%r][%r][%r][%r]", s, a1, a2, dest
+                        )
                     if not p >= 0:  # NaN fails too
                         raise ChainFormatError(
                             f"transition[{s!r}][{a1!r}][{a2!r}][{dest!r}] must be a probability"
                         )
                     total += p
-                    clean[dest] = p
                 if abs(total - 1.0) > _TRANSITION_SUM_TOL:
                     raise ChainFormatError(
                         f"transition[{s!r}][{a1!r}][{a2!r}] sums to {total!r}, not 1"
                     )
-                bya[a2] = clean
-            bys[a1] = bya
-        transition[s] = bys
 
     game = StochasticGame(
         states=states,
@@ -165,6 +169,25 @@ def load_game(source) -> tuple[StochasticGame, Strategy, Strategy]:
     return game, x, y
 
 
+def _read_payoff(s, rows, n1: int, n2: int, values: list) -> None:
+    """Check the payoff rows of state `s`, n1 rows of n2 numbers in [0, 1],
+    and append the numbers, as floats, to `values`."""
+    if not isinstance(rows, list) or len(rows) != n1:
+        raise ChainFormatError(f"payoff[{s!r}] must be a list of {n1} rows of {n2} numbers")
+    for row in rows:
+        if not isinstance(row, list) or len(row) != n2:
+            raise ChainFormatError(f"payoff[{s!r}] must be a list of {n1} rows of {n2} numbers")
+    start = len(values)
+    for row in rows:
+        values += row
+    for k in range(start, len(values)):
+        v = values[k]
+        if type(v) is not float:
+            v = values[k] = read_number(v, "payoff[%r][%d][%d]", s, *divmod(k - start, n2))
+        if not 0.0 <= v <= 1.0:  # NaN fails too
+            raise ChainFormatError(f"payoff[{s!r}] values must lie in [0, 1]")
+
+
 def _load_strategy(spec, actions, who) -> Strategy:
     if not isinstance(spec, dict):
         raise ChainFormatError(f"{who} must map every state")
@@ -173,22 +196,23 @@ def _load_strategy(spec, actions, who) -> Strategy:
     for s, mix in spec.items():
         if not isinstance(mix, dict) or not mix:
             raise ChainFormatError(f"{who}[{s!r}] must be a nonempty map action -> monomial")
-        row = {}
+        row = out[s] = {}
         for a, doc in mix.items():
-            if not isinstance(doc, dict) or set(doc) != {"coeff", "exp"}:
+            # the keys are exactly coeff and exp; cheaper than comparing key sets
+            if not isinstance(doc, dict) or len(doc) != 2 or "coeff" not in doc or "exp" not in doc:
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must be an object with 'coeff' and 'exp'"
                 )
-            coeff = read_number(doc["coeff"], "%s[%r][%r]: 'coeff'", who, s, a)
-            text = doc["exp"]
-            exp = parsed.get(text) if isinstance(text, str) else None
+            coeff, text = doc["coeff"], doc["exp"]
+            if type(coeff) is not float:
+                coeff = read_number(coeff, "%s[%r][%r]: 'coeff'", who, s, a)
+            exp = parsed.get(text) if type(text) is str else None
             if exp is None:
                 try:
                     exp = parsed[text] = parse_exponent(text)
                 except ValueError as exc:
                     raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
-            row[a] = Monomial(coeff, exp)
-        out[s] = row
+            row[a] = _tuple_new(Monomial, (coeff, exp))
     validate_strategy(out, actions, who)
     return out
 
@@ -204,37 +228,38 @@ def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> dic
     if strategy.keys() != actions.keys():
         raise ChainFormatError(f"{who} must map every state")
     out = {}
+    ratios: dict[int, tuple[int, int]] = {}  # id(exponent) -> (p, q); rows share exponents
     for s, row in strategy.items():
         acts = actions[s]
-        weights = []
+        weights = out[s] = []
         mass0 = 0  # summed in row order, as build_chain does
-        for a, m in row.items():
+        for a, (c, e) in row.items():
             try:
                 k = acts.index(a)
             except ValueError:
                 raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}") from None
-            e = m.exp
-            if not m.coeff > 0:
+            if not 0 < c < INF:  # NaN fails too
+                if c == INF:
+                    raise ChainFormatError(f"{who}[{s!r}][{a!r}] must have a finite weight, got inf")
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
                 )
-            if m.coeff == INF:
-                raise ChainFormatError(f"{who}[{s!r}][{a!r}] must have a finite weight, got inf")
-            if not isinstance(e, (int, Fraction)):
-                raise ChainFormatError(
-                    f"{who}[{s!r}][{a!r}] must have a finite rational exponent, got {e!r}"
-                )
-            p, q = e.numerator, e.denominator
-            if p < 0:
-                raise ChainFormatError(
-                    f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
-                )
-            if p == 0:
-                mass0 += m.coeff
-            weights.append((a, k, m.coeff, (p, q)))
+            pq = ratios.get(id(e))
+            if pq is None:
+                if not isinstance(e, (int, Fraction)):
+                    raise ChainFormatError(
+                        f"{who}[{s!r}][{a!r}] must have a finite rational exponent, got {e!r}"
+                    )
+                pq = ratios[id(e)] = (e.numerator, e.denominator)
+            if pq[0] <= 0:
+                if pq[0]:
+                    raise ChainFormatError(
+                        f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
+                    )
+                mass0 += c
+            weights.append((a, k, c, pq))
         if not leaves_exactly(mass0):
             raise ChainFormatError(f"{who}[{s!r}]: exponent-0 weights sum to {mass0!r}, not 1")
-        out[s] = weights
     return out
 
 
@@ -251,31 +276,33 @@ def compile_game(game: StochasticGame, x: Strategy, y: Strategy) -> tuple[Pertur
     xw = validate_strategy(x, game.actions1, "strategy1")
     yw = validate_strategy(y, game.actions2, "strategy2")
     scale = TickScale({q for w in (xw, yw) for row in w.values() for _, _, _, (_, q) in row})
-    tick = scale.tick
+    D = scale.D
     entries: dict[tuple[str, str], tuple[float, int]] = {}
     gvec = []
     for s in game.states:
-        pay = game.payoff[s].tolist()
-        moves = game.transition[s]
-        yrow = [(a2, k2, yc, tick(*e)) for a2, k2, yc, e in yw[s]]
-        # destination -> {tick: coefficient sum}; the leading term is the
-        # sum at the smallest tick, added up in the order mono_add would
-        acc: dict[str, dict[int, float]] = {}
+        pay, moves, ys = game.payoff[s], game.transition[s], yw[s]
+        # destination -> (coefficient, tick) of its leading term so far: a
+        # term at a smaller tick replaces it, one at the same tick adds to
+        # it, so the sum at the smallest tick is added up in term order
+        lead: dict[str, tuple[float, int]] = {}
         g = 0.0
-        for a1, k1, xc, e in xw[s]:
-            xe, prow, arow = tick(*e), pay[k1], moves[a1]
-            for a2, k2, yc, ye in yrow:
-                wc, we = xc * yc, xe + ye
+        for a1, k1, xc, (n1, d1) in xw[s]:
+            # n * (D // d) is scale.tick(n, d)
+            xe, arow = n1 * (D // d1), moves[a1]
+            for a2, k2, yc, (n2, d2) in ys:
+                wc, we = xc * yc, xe + n2 * (D // d2)
                 if we == 0:
-                    g += wc * prow[k2]
+                    g += wc * pay.item(k1, k2)
                 for dest, p in arow[a2].items():
                     if dest == s or p == 0.0:
                         continue
-                    sums = acc.setdefault(dest, {})
-                    sums[we] = sums.get(we, 0.0) + wc * p
-        for dest, sums in acc.items():
-            t = min(sums)
-            entries[(s, dest)] = (sums[t], t)
+                    old = lead.get(dest)
+                    if old is None or we < old[1]:
+                        lead[dest] = (wc * p, we)
+                    elif we == old[1]:
+                        lead[dest] = (old[0] + wc * p, we)
+        for dest, m in lead.items():
+            entries[(s, dest)] = m
         gvec.append(g)
     return build_chain(game.states, entries, scale), np.array(gvec)
 

@@ -580,8 +580,67 @@ def parse_report(source) -> dict:
             if not isinstance(r, list) or (cols is not None and len(r) != cols):
                 raise InputError(f"report {key!r} has the wrong shape")
             for x in r:
-                # True is an int too; json.loads reads NaN and Infinity as floats
-                if (isinstance(x, bool) or not isinstance(x, (int, float))
-                        or (isinstance(x, float) and not math.isfinite(x))):
+                if not _finite_number(x):
                     raise InputError(f"report {key!r} holds {x!r}, which is not a finite number")
+    _check_report_levels(doc)
     return doc
+
+
+def _check_report_levels(doc: dict) -> None:
+    """The level entries of a report fit together as `report` writes them:
+    each level's measures hold one entry per class, keyed by that class's
+    members and holding `{coeff, exp}` monomials; the first level's members
+    and transients are the len(mu) distinct states; each later level's are
+    the previous level's class nodes (its `measures` keys) and transients;
+    and the final classes hold states.  Key order is not checked: the CLI
+    writes reports with sorted keys."""
+    names = None
+    for i, lev in enumerate(doc["levels"]):
+        where = f"report 'levels'[{i}]"
+        classes, measures = lev["classes"], lev["measures"]
+        if not all(isinstance(meas, dict) for meas in measures.values()) or (
+            sorted(sorted(meas) for meas in measures.values()) != sorted(sorted(cls) for cls in classes)
+        ):
+            raise InputError(f"{where} 'measures' must hold one entry per class, "
+                             "keyed by the class's members")
+        for node, meas in measures.items():
+            for member, m in meas.items():
+                if not _is_monomial_doc(m):
+                    raise InputError(f"{where} measure of {member!r} in {node!r} must be an "
+                                     "object with a finite 'coeff' and an exponent 'exp'")
+        here = [u for cls in classes for u in cls] + lev["transient"]
+        if names is None:
+            if len(set(here)) != len(here) or len(here) != len(doc["mu"]):
+                raise InputError(f"{where} members and transients must be the "
+                                 f"{len(doc['mu'])} distinct states")
+            states = set(here)
+        elif sorted(here) != sorted(names):
+            raise InputError(f"{where} members and transients must be the class nodes "
+                             f"and transients of 'levels'[{i - 1}]")
+        names = list(measures) + lev["transient"]
+    if names is not None:
+        for j, cls in enumerate(doc["classes"]):
+            for u in cls:
+                if u not in states:
+                    raise InputError(f"report 'classes'[{j}] holds {u!r}, "
+                                     "which is not a state of 'levels'[0]")
+
+
+def _finite_number(x) -> bool:
+    """Whether a report value is an int or a finite float.  True is an int
+    too, and json.loads reads NaN and Infinity as floats."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return not isinstance(x, float) or math.isfinite(x)
+
+
+def _is_monomial_doc(m) -> bool:
+    """Whether a report value is a `{coeff, exp}` monomial: a finite number
+    and an exponent string."""
+    if not isinstance(m, dict) or m.keys() != {"coeff", "exp"} or not _finite_number(m["coeff"]):
+        return False
+    try:
+        parse_exponent(m["exp"])
+    except ValueError:
+        return False
+    return True

@@ -259,6 +259,14 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
     DAG then creates no arcs, and a leading-order trap needs no special
     case), and the removals are worked back with
     h_k = sum_j lim(w_kj / s_k) h_j, summed in arc order.
+
+    Sources first, every predecessor of a transient SCC is gone before the
+    SCC's first node is eliminated, so fill stays inside an SCC: a node that
+    is its own SCC keeps its row, less self-arcs and zero terms, as its
+    out-arcs, and only SCCs of two or more nodes run `_eliminate`, on their
+    own rows.  All eliminations come first, so that a node with no exit
+    left is found in the same order as by one elimination of every
+    transient.
     """
     classes = decomposition.recurrent
     law: dict = {}
@@ -270,8 +278,24 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
     rows = {u: matrix.get(u, {}) for u in transient}
     tset = set(transient)
     succ = {u: [v for v in rows[u] if v in tset] for u in transient}
-    order = [u for comp in reversed(_sccs(transient, succ)) for u in comp]
-    for k, out, _, (sc, se) in reversed(_eliminate(rows, order)):
+    steps = []
+    for comp in reversed(_sccs(transient, succ)):
+        if len(comp) > 1:
+            steps += _eliminate({u: rows[u] for u in comp}, comp)
+            continue
+        (k,) = comp
+        out = {v: m for v, m in rows[k].items() if v != k and m[0] != 0.0}
+        # s_k = mono_sum(out.values()), as _eliminate forms it
+        sc, se = ZERO
+        for c, e in out.values():
+            if e < se:
+                sc, se = c, e
+            elif e == se:
+                sc, se = (sc + c, se) if sc != 0.0 else ZERO
+        if sc == 0.0:
+            raise InternalError(f"node {k!r} has no exit left when it is eliminated")
+        steps.append((k, out, None, (sc, se)))
+    for k, out, _, (sc, se) in reversed(steps):
         h: dict = {}
         for j, (c, e) in out.items():
             if j not in law:

@@ -29,9 +29,9 @@ from markovscale.asymptotics import (
     mono_sum,
     parse_exponent,
 )
-from markovscale.chain_model import leaves_exactly, read_number
+from markovscale.chain_model import leaves_exactly, read_json_file, read_number
 from markovscale.evaluator import occupation, position
-from markovscale.games import load_game
+from markovscale.games import StochasticGame, load_game
 from markovscale import hierarchy
 from markovscale.hierarchy import build_level, next_threshold
 from markovscale.structure import classify
@@ -927,6 +927,229 @@ def frozen_compile_game(doc: dict):
     y = _frozen_load_strategy(doc["strategy2"], game.actions2, "strategy2")
     return _frozen_compile(game, x, y)
 
+
+
+# -------------------------------------------------------- frozen game loader
+# kept as a reference for `games.load_game`: the loader as it read each
+# number with `read_number` and compared every key set through `set()`,
+# with the strategy rules of the same version.  Its results and its errors,
+# type and message, are the ones `load_game` must give.
+
+_FROZEN_GAME_KEYS = {"states", "actions1", "actions2", "payoff", "transition", "strategy1", "strategy2"}
+
+
+def _frozen_validate_actions(states, spec, who):
+    if not isinstance(spec, dict) or set(spec) != set(states):
+        raise ChainFormatError(f"{who} must map every state to its action list")
+    out = {}
+    for s, acts in spec.items():
+        if not isinstance(acts, list) or not acts:
+            raise ChainFormatError(f"{who}[{s!r}] must be a nonempty list")
+        for i, a in enumerate(acts):
+            if not isinstance(a, str):
+                raise ChainFormatError(f"{who}[{s!r}][{i}] must be an action name, got {a!r}")
+        if len(set(acts)) != len(acts):
+            raise ChainFormatError(f"{who}[{s!r}] has duplicate actions")
+        out[s] = tuple(acts)
+    return out
+
+
+def _frozen_load_game(source):
+    """`load_game` as it was before it read each number once."""
+    doc = read_json_file(source, "game") if isinstance(source, (str, Path)) else source
+    if not isinstance(doc, dict):
+        raise ChainFormatError("game document must be a JSON object")
+    extra = set(doc) - _FROZEN_GAME_KEYS
+    if extra:
+        raise ChainFormatError(f"unknown game keys: {sorted(extra)}")
+    missing = _FROZEN_GAME_KEYS - set(doc)
+    if missing:
+        raise ChainFormatError(f"game document is missing keys: {sorted(missing)}")
+
+    states = doc["states"]
+    if not isinstance(states, list) or not states:
+        raise ChainFormatError("'states' must be a nonempty list of distinct names")
+    for i, s in enumerate(states):
+        if not isinstance(s, str) or not s:
+            raise ChainFormatError(f"'states'[{i}] must be a nonempty name, got {s!r}")
+    if len(set(states)) != len(states):
+        raise ChainFormatError("'states' must be a nonempty list of distinct names")
+    states = tuple(states)
+    known = set(states)
+    actions1 = _frozen_validate_actions(states, doc["actions1"], "actions1")
+    actions2 = _frozen_validate_actions(states, doc["actions2"], "actions2")
+
+    payoff = {}
+    for s in states:
+        rows = doc["payoff"].get(s) if isinstance(doc["payoff"], dict) else None
+        if rows is None:
+            raise ChainFormatError(f"payoff is missing state {s!r}")
+        n1, n2 = len(actions1[s]), len(actions2[s])
+        if not isinstance(rows, list) or len(rows) != n1 or any(
+            not isinstance(row, list) or len(row) != n2 for row in rows
+        ):
+            raise ChainFormatError(f"payoff[{s!r}] must be a list of {n1} rows of {n2} numbers")
+        mat = np.empty((n1, n2))
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                v = mat[i, j] = read_number(v, "payoff[%r][%d][%d]", s, i, j)
+                if not 0.0 <= v <= 1.0:  # NaN fails too
+                    raise ChainFormatError(f"payoff[{s!r}] values must lie in [0, 1]")
+        payoff[s] = mat
+    for s in doc["payoff"]:
+        if s not in known:
+            raise ChainFormatError(f"payoff names unknown state {s!r}")
+
+    transition = {}
+    tspec = doc["transition"]
+    if not isinstance(tspec, dict) or set(tspec) != set(states):
+        raise ChainFormatError("'transition' must map every state")
+    for s in states:
+        bys = {}
+        if not isinstance(tspec[s], dict) or set(tspec[s]) != set(actions1[s]):
+            raise ChainFormatError(f"transition[{s!r}] must map every action of player 1")
+        for a1 in actions1[s]:
+            bya = {}
+            cell = tspec[s][a1]
+            if not isinstance(cell, dict) or set(cell) != set(actions2[s]):
+                raise ChainFormatError(
+                    f"transition[{s!r}][{a1!r}] must map every action of player 2"
+                )
+            for a2 in actions2[s]:
+                dist = cell[a2]
+                if not isinstance(dist, dict) or not dist:
+                    raise ChainFormatError(
+                        f"transition[{s!r}][{a1!r}][{a2!r}] must be a nonempty map"
+                    )
+                total = 0.0
+                clean = {}
+                for dest, p in dist.items():
+                    if dest not in known:
+                        raise ChainFormatError(
+                            f"transition[{s!r}][{a1!r}][{a2!r}] targets unknown state {dest!r}"
+                        )
+                    p = read_number(p, "transition[%r][%r][%r][%r]", s, a1, a2, dest)
+                    if not p >= 0:  # NaN fails too
+                        raise ChainFormatError(
+                            f"transition[{s!r}][{a1!r}][{a2!r}][{dest!r}] must be a probability"
+                        )
+                    total += p
+                    clean[dest] = p
+                if abs(total - 1.0) > 1e-12:
+                    raise ChainFormatError(
+                        f"transition[{s!r}][{a1!r}][{a2!r}] sums to {total!r}, not 1"
+                    )
+                bya[a2] = clean
+            bys[a1] = bya
+        transition[s] = bys
+
+    game = StochasticGame(states=states, actions1=actions1, actions2=actions2,
+                          payoff=payoff, transition=transition)
+    x = _frozen_load_regular_strategy(doc["strategy1"], game.actions1, "strategy1")
+    y = _frozen_load_regular_strategy(doc["strategy2"], game.actions2, "strategy2")
+    return game, x, y
+
+
+def _frozen_load_regular_strategy(spec, actions, who):
+    if not isinstance(spec, dict):
+        raise ChainFormatError(f"{who} must map every state")
+    out = {}
+    parsed = {}
+    for s, mix in spec.items():
+        if not isinstance(mix, dict) or not mix:
+            raise ChainFormatError(f"{who}[{s!r}] must be a nonempty map action -> monomial")
+        row = {}
+        for a, doc in mix.items():
+            if not isinstance(doc, dict) or set(doc) != {"coeff", "exp"}:
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must be an object with 'coeff' and 'exp'"
+                )
+            coeff = read_number(doc["coeff"], "%s[%r][%r]: 'coeff'", who, s, a)
+            text = doc["exp"]
+            exp = parsed.get(text) if isinstance(text, str) else None
+            if exp is None:
+                try:
+                    exp = parsed[text] = parse_exponent(text)
+                except ValueError as exc:
+                    raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
+            row[a] = Monomial(coeff, exp)
+        out[s] = row
+    _frozen_strategy_rules(out, actions, who)
+    return out
+
+
+def _frozen_strategy_rules(strategy, actions, who):
+    if strategy.keys() != actions.keys():
+        raise ChainFormatError(f"{who} must map every state")
+    out = {}
+    for s, row in strategy.items():
+        acts = actions[s]
+        weights = []
+        mass0 = 0
+        for a, m in row.items():
+            try:
+                k = acts.index(a)
+            except ValueError:
+                raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}") from None
+            e = m.exp
+            if not m.coeff > 0:
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
+                )
+            if m.coeff == math.inf:
+                raise ChainFormatError(f"{who}[{s!r}][{a!r}] must have a finite weight, got inf")
+            if not isinstance(e, (int, Fraction)):
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must have a finite rational exponent, got {e!r}"
+                )
+            p, q = e.numerator, e.denominator
+            if p < 0:
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
+                )
+            if p == 0:
+                mass0 += m.coeff
+            weights.append((a, k, m.coeff, (p, q)))
+        if not leaves_exactly(mass0):
+            raise ChainFormatError(f"{who}[{s!r}]: exponent-0 weights sum to {mass0!r}, not 1")
+        out[s] = weights
+    return out
+
+
+def assert_same_loaded_game(got, want) -> None:
+    """Two `load_game` results are equal: the same state and action tuples,
+    float64 payoff arrays of the same shape and values, and transitions and
+    strategy rows equal with the same key order at every depth, every
+    number a float."""
+    (game, x, y), (wgame, wx, wy) = got, want
+    assert game.states == wgame.states and type(game.states) is tuple
+    for mine, theirs in ((game.actions1, wgame.actions1), (game.actions2, wgame.actions2)):
+        assert list(mine.items()) == list(theirs.items())
+        assert all(type(acts) is tuple for acts in mine.values())
+    assert list(game.payoff) == list(wgame.payoff)
+    for s, mat in game.payoff.items():
+        want_mat = wgame.payoff[s]
+        assert mat.dtype == np.float64 and mat.shape == want_mat.shape
+        assert np.array_equal(mat, want_mat)
+    assert _nested_items(game.transition) == _nested_items(wgame.transition)
+    for s, bys in game.transition.items():
+        for bya in bys.values():
+            for dist in bya.values():
+                assert all(type(p) is float for p in dist.values())
+    for mine, theirs in ((x, wx), (y, wy)):
+        assert _nested_items(mine) == _nested_items(theirs)
+        for s, row in mine.items():
+            for m, w in zip(row.values(), theirs[s].values()):
+                assert type(m) is Monomial and type(m.coeff) is float
+                assert type(m.exp) is type(w.exp)
+
+
+def _nested_items(value):
+    """A nested dict as nested lists of items, so that equality compares key
+    order at every depth."""
+    if isinstance(value, dict):
+        return [(k, _nested_items(v)) for k, v in value.items()]
+    return value
 
 #: strategy exponents of the two players in `random_game_doc`: their
 #: denominators differ, so the lcm of a game's denominators exceeds their max

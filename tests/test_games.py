@@ -1,5 +1,6 @@
 """Compiling two-player discounted games under fixed strategy families."""
 
+import copy
 import json
 import math
 from collections import Counter
@@ -11,7 +12,8 @@ import pytest
 from markovscale import ChainFormatError, Monomial, analyze, limit_payoff, monomial
 from markovscale.games import compile_game, limit_game_payoff, load_game
 
-from helpers import fixture, frozen_compile_game, random_game_doc
+from helpers import (GAME_FIXTURES, _frozen_load_game, assert_same_loaded_game, bench_jobs, fixture,
+                     frozen_compile_game, random_game_doc)
 
 
 def switch_doc():
@@ -51,111 +53,112 @@ def broken(mutate):
     return doc
 
 
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda d: d.update(extra=1), "unknown game keys"),
-        (lambda d: d.pop("payoff"), "missing keys"),
-        (lambda d: d.update(states=[]), "'states'"),
-        (lambda d: d.update(states=["s", "s"]), "'states'"),
-        (lambda d: d["actions1"].pop("t"), "every state"),
-        (lambda d: d["actions1"].update(s=[]), "nonempty"),
-        (lambda d: d["actions1"].update(s=["stay", "stay"]), "duplicate"),
-        (lambda d: d["payoff"].pop("s"), "payoff is missing"),
-        (lambda d: d["payoff"].update(zz=[[0.5]]), "payoff names unknown state 'zz'"),
-        (lambda d: d["payoff"].update(s=[[0.2, 0.4]]), "payoff"),
-        (lambda d: d["payoff"]["s"][0].__setitem__(0, 1.5), "lie in"),
-        (lambda d: d["payoff"]["s"][0].__setitem__(0, -0.1), "lie in"),
-        (lambda d: d["transition"]["s"].pop("move"), "every action"),
-        (lambda d: d["transition"]["s"]["move"].pop("L"), "player 2"),
-        (
-            lambda d: d["transition"]["s"]["move"]["L"].update(t=0.7),
-            "sums to",
-        ),
-        (
-            lambda d: d["transition"]["s"]["move"]["L"].update(zz=0.0),
-            "unknown state",
-        ),
-        (
-            lambda d: d["transition"]["s"]["move"]["L"].update(t=-1.0),
-            "probability",
-        ),
-        (
-            lambda d: d["transition"]["s"]["move"]["L"].update(t=math.nan),
-            r"transition\['s'\]\['move'\]\['L'\]\['t'\] must be a probability",
-        ),
-        (lambda d: d["strategy1"].pop("s"), "every state"),
-        (lambda d: d["strategy1"].update(s={}), "nonempty"),
-        (
-            lambda d: d["strategy1"]["s"].update(jump={"coeff": 1.0, "exp": "0"}),
-            "unknown action",
-        ),
-        (
-            lambda d: d["strategy1"]["s"]["stay"].update(coeff=0.4),
-            "exponent-0 weights",
-        ),
-        (
-            lambda d: d["strategy1"]["s"]["move"].update(exp="-1/2"),
-            "exponent",
-        ),
-        (
-            lambda d: d["strategy2"]["s"]["L"].update(coeff=-0.5),
-            "strategy2",
-        ),
-        (
-            lambda d: d["strategy2"]["s"]["L"].update(coeff="0.5"),
-            "'coeff' must be a number",
-        ),
-        (
-            lambda d: d["strategy1"]["s"]["stay"].update(coeff=True),
-            "'coeff' must be a number",
-        ),
-        (
-            lambda d: d["strategy2"]["s"]["L"].update(coeff=10**401),
-            r"strategy2\['s'\]\['L'\]: 'coeff' is too large",
-        ),
-        (
-            lambda d: d["transition"]["s"]["move"]["L"].update(t=10**401),
-            r"transition\['s'\]\['move'\]\['L'\]\['t'\] is too large",
-        ),
-        (
-            lambda d: d["payoff"]["s"][0].__setitem__(0, 10**401),
-            r"payoff\['s'\]\[0\]\[0\] is too large",
-        ),
-        (
-            lambda d: d["payoff"]["s"][1].__setitem__(0, "0.5"),
-            r"payoff\['s'\]\[1\]\[0\] must be a number",
-        ),
-        (
-            lambda d: d["payoff"]["t"][0].__setitem__(1, True),
-            r"payoff\['t'\]\[0\]\[1\] must be a number",
-        ),
-        (
-            lambda d: d["payoff"]["t"][1].__setitem__(0, math.nan),
-            r"payoff\['t'\] values must lie in \[0, 1\]",
-        ),
-        (
-            lambda d: d["payoff"]["s"][0].__setitem__(1, -0.1),
-            r"payoff\['s'\] values must lie in \[0, 1\]",
-        ),
-        (
-            lambda d: d["payoff"].update(s=[[0.2], [0.6, 0.8]]),
-            r"payoff\['s'\] must be a list of 2 rows of 2 numbers",
-        ),
-        (
-            lambda d: d["actions1"].update(s=[["stay"], "move"]),
-            r"actions1\['s'\]\[0\] must be an action name, got \['stay'\]",
-        ),
-        (
-            lambda d: d.update(states=[["s"], "t"]),
-            r"'states'\[0\] must be a nonempty name, got \['s'\]",
-        ),
-        (
-            lambda d: d["actions2"].update(t=["L", {"R": 1}]),
-            r"actions2\['t'\]\[1\] must be an action name, got \{'R': 1\}",
-        ),
-    ],
-)
+# malformed documents, each with a pattern of its message
+MALFORMED = [
+    (lambda d: d.update(extra=1), "unknown game keys"),
+    (lambda d: d.pop("payoff"), "missing keys"),
+    (lambda d: d.update(states=[]), "'states'"),
+    (lambda d: d.update(states=["s", "s"]), "'states'"),
+    (lambda d: d["actions1"].pop("t"), "every state"),
+    (lambda d: d["actions1"].update(s=[]), "nonempty"),
+    (lambda d: d["actions1"].update(s=["stay", "stay"]), "duplicate"),
+    (lambda d: d["payoff"].pop("s"), "payoff is missing"),
+    (lambda d: d["payoff"].update(zz=[[0.5]]), "payoff names unknown state 'zz'"),
+    (lambda d: d["payoff"].update(s=[[0.2, 0.4]]), "payoff"),
+    (lambda d: d["payoff"]["s"][0].__setitem__(0, 1.5), "lie in"),
+    (lambda d: d["payoff"]["s"][0].__setitem__(0, -0.1), "lie in"),
+    (lambda d: d["transition"]["s"].pop("move"), "every action"),
+    (lambda d: d["transition"]["s"]["move"].pop("L"), "player 2"),
+    (
+        lambda d: d["transition"]["s"]["move"]["L"].update(t=0.7),
+        "sums to",
+    ),
+    (
+        lambda d: d["transition"]["s"]["move"]["L"].update(zz=0.0),
+        "unknown state",
+    ),
+    (
+        lambda d: d["transition"]["s"]["move"]["L"].update(t=-1.0),
+        "probability",
+    ),
+    (
+        lambda d: d["transition"]["s"]["move"]["L"].update(t=math.nan),
+        r"transition\['s'\]\['move'\]\['L'\]\['t'\] must be a probability",
+    ),
+    (lambda d: d["strategy1"].pop("s"), "every state"),
+    (lambda d: d["strategy1"].update(s={}), "nonempty"),
+    (
+        lambda d: d["strategy1"]["s"].update(jump={"coeff": 1.0, "exp": "0"}),
+        "unknown action",
+    ),
+    (
+        lambda d: d["strategy1"]["s"]["stay"].update(coeff=0.4),
+        "exponent-0 weights",
+    ),
+    (
+        lambda d: d["strategy1"]["s"]["move"].update(exp="-1/2"),
+        "exponent",
+    ),
+    (
+        lambda d: d["strategy2"]["s"]["L"].update(coeff=-0.5),
+        "strategy2",
+    ),
+    (
+        lambda d: d["strategy2"]["s"]["L"].update(coeff="0.5"),
+        "'coeff' must be a number",
+    ),
+    (
+        lambda d: d["strategy1"]["s"]["stay"].update(coeff=True),
+        "'coeff' must be a number",
+    ),
+    (
+        lambda d: d["strategy2"]["s"]["L"].update(coeff=10**401),
+        r"strategy2\['s'\]\['L'\]: 'coeff' is too large",
+    ),
+    (
+        lambda d: d["transition"]["s"]["move"]["L"].update(t=10**401),
+        r"transition\['s'\]\['move'\]\['L'\]\['t'\] is too large",
+    ),
+    (
+        lambda d: d["payoff"]["s"][0].__setitem__(0, 10**401),
+        r"payoff\['s'\]\[0\]\[0\] is too large",
+    ),
+    (
+        lambda d: d["payoff"]["s"][1].__setitem__(0, "0.5"),
+        r"payoff\['s'\]\[1\]\[0\] must be a number",
+    ),
+    (
+        lambda d: d["payoff"]["t"][0].__setitem__(1, True),
+        r"payoff\['t'\]\[0\]\[1\] must be a number",
+    ),
+    (
+        lambda d: d["payoff"]["t"][1].__setitem__(0, math.nan),
+        r"payoff\['t'\] values must lie in \[0, 1\]",
+    ),
+    (
+        lambda d: d["payoff"]["s"][0].__setitem__(1, -0.1),
+        r"payoff\['s'\] values must lie in \[0, 1\]",
+    ),
+    (
+        lambda d: d["payoff"].update(s=[[0.2], [0.6, 0.8]]),
+        r"payoff\['s'\] must be a list of 2 rows of 2 numbers",
+    ),
+    (
+        lambda d: d["actions1"].update(s=[["stay"], "move"]),
+        r"actions1\['s'\]\[0\] must be an action name, got \['stay'\]",
+    ),
+    (
+        lambda d: d.update(states=[["s"], "t"]),
+        r"'states'\[0\] must be a nonempty name, got \['s'\]",
+    ),
+    (
+        lambda d: d["actions2"].update(t=["L", {"R": 1}]),
+        r"actions2\['t'\]\[1\] must be an action name, got \{'R': 1\}",
+    ),
+]
+
+
+@pytest.mark.parametrize("mutate, message", MALFORMED)
 def test_load_game_rejects_malformed_documents(mutate, message):
     with pytest.raises(ChainFormatError, match=message):
         load_game(broken(mutate))
@@ -241,6 +244,180 @@ def test_load_game_file_errors():
         load_game("/nonexistent/game.json")
     with pytest.raises(ChainFormatError, match="not valid JSON"):
         load_game(fixture("../helpers.py"))
+
+
+def _loader_docs() -> list:
+    """The game fixtures, 420 `random_game_doc` games and the first 8
+    `game_verify` jobs at seeds 11 and 2027."""
+    docs = [json.load(open(fixture(f"{name}.json"))) for name in GAME_FIXTURES]
+    rng = np.random.default_rng(20)
+    docs += [random_game_doc(rng) for _ in range(420)]
+    docs += [json.loads(job.text) for seed in (11, 2027) for job in bench_jobs("game_verify", seed)[:8]]
+    return docs
+
+
+def _overwrite_numbers(value) -> None:
+    """Set every number in a document to -1.0, in place."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in list(items):
+        if isinstance(child, (dict, list)):
+            _overwrite_numbers(child)
+        elif type(child) is float:
+            value[key] = -1.0
+
+
+def test_load_game_matches_the_frozen_loader():
+    docs = _loader_docs()
+    assert len(docs) == 438
+    for doc in docs:
+        before = copy.deepcopy(doc)
+        got, want = load_game(doc), _frozen_load_game(doc)
+        assert_same_loaded_game(got, want)
+        assert doc == before  # the document is read, not changed
+        _overwrite_numbers(doc)  # and the game holds copies of its numbers
+        assert_same_loaded_game(got, want)
+
+
+def _outcome(load, doc):
+    try:
+        return "ok", load(doc)
+    except Exception as exc:  # the type and the message must match
+        return "error", (type(exc), str(exc))
+
+
+#: what a number of a game document is replaced by (a function of it)
+NUMBER_CORRUPTIONS = {
+    "string": lambda v: "0.5",
+    "bool": lambda v: bool(v),
+    "none": lambda v: None,
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "huge int": lambda v: 10**400,
+    "integral int": lambda v: round(v),
+    "negated": lambda v: -v if v else -0.5,
+}
+SECTIONS = ("payoff", "transition", "strategy")
+
+
+def _paths(value, path=()):
+    """(path, value) of every container and every number below `value`."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        if isinstance(child, (dict, list)) or type(child) is float:
+            yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _corrupt(doc: dict, section: str, kind: str, rng) -> dict:
+    """A copy of `doc` with one corruption of `kind` in `section`: a number
+    replaced (`NUMBER_CORRUPTIONS`), or, in a map or list, an entry dropped,
+    added (a copy of a sibling), renamed (in a map) or replaced by a value
+    of another type, or every entry dropped."""
+    doc = copy.deepcopy(doc)
+    root = ("strategy1", "strategy2")[int(rng.integers(2))] if section == "strategy" else section
+    found = list(_paths(doc[root], (root,)))
+    if kind in NUMBER_CORRUPTIONS:
+        numbers = [path for path, v in found if type(v) is float]
+        path = numbers[int(rng.integers(len(numbers)))]
+        parent = _at(doc, path[:-1])
+        parent[path[-1]] = NUMBER_CORRUPTIONS[kind](parent[path[-1]])
+        return doc
+    shape = dict if kind == "key renamed" else (dict, list)
+    containers = [path for path, v in found if isinstance(v, shape) and v]
+    target = _at(doc, containers[int(rng.integers(len(containers)))])
+    keys = list(target) if isinstance(target, dict) else list(range(len(target)))
+    key = keys[int(rng.integers(len(keys)))]
+    # a new name, a state, or a key of the monomial objects
+    name = ["zz", *doc["states"], "coeff", "exp"][int(rng.integers(len(doc["states"]) + 3))]
+    if kind == "emptied":
+        target.clear()
+    elif kind == "key dropped":
+        del target[key]
+    elif kind == "key renamed":
+        target[name] = target.pop(key)
+    elif kind == "retyped":  # the entry becomes a value of another type
+        child = target[key]
+        swap = [list(child.values()) if isinstance(child, dict) else {"0": child} if isinstance(child, list)
+                else [child], None, "x", 0.5]
+        target[key] = swap[int(rng.integers(len(swap)))]
+    elif isinstance(target, list):  # "key added": a copy of an element
+        target.append(copy.deepcopy(target[key]))
+    else:  # "key added", holding a copy of a sibling's value
+        target[name] = copy.deepcopy(target[key])
+    return doc
+
+
+def test_load_game_keeps_the_frozen_errors_under_corruption():
+    rng = np.random.default_rng(21)
+    bases = [json.load(open(fixture(f"{name}.json"))) for name in GAME_FIXTURES]
+    bases += [random_game_doc(rng) for _ in range(100)]
+    kinds = [*NUMBER_CORRUPTIONS, "key dropped", "key added", "key renamed", "emptied", "retyped"]
+    docs = [(section, kind, _corrupt(base, section, kind, rng))
+            for base in bases for section in SECTIONS for kind in kinds]
+    docs += [("listed", "listed", broken(mutate)) for mutate, _ in MALFORMED + STRATEGY_RULES]
+    assert len(docs) >= 2000
+    counts = Counter()
+    for section, kind, doc in docs:
+        want = _outcome(_frozen_load_game, doc)
+        got = _outcome(load_game, doc)
+        assert got[0] == want[0], (section, kind, got, want)
+        if want[0] == "error":
+            assert got[1] == want[1], (section, kind)
+        else:
+            assert_same_loaded_game(got[1], want[1])
+        counts[(section, kind, want[0])] += 1
+    # every kind reaches every section, and every section's corruptions
+    # are refused as well as, for some kinds, accepted
+    for section in SECTIONS:
+        for kind in kinds:
+            assert counts[(section, kind, "error")] + counts[(section, kind, "ok")] == len(bases)
+        assert sum(counts[(section, kind, "error")] for kind in kinds) >= len(bases) * 6
+        assert sum(counts[(section, kind, "ok")] for kind in kinds) >= 10
+    assert counts[("listed", "listed", "error")] == len(MALFORMED) + len(STRATEGY_RULES)
+
+
+def _integral_as_int(value, count: Counter):
+    """`value` with every integral float written as an int, counted in
+    `count`."""
+    if isinstance(value, dict):
+        return {k: _integral_as_int(v, count) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_integral_as_int(v, count) for v in value]
+    if type(value) is float and value.is_integer():
+        count[int(value)] += 1
+        return int(value)
+    return value
+
+
+def test_json_integers_load_as_floats():
+    docs = [json.load(open(fixture(f"{name}.json"))) for name in GAME_FIXTURES]
+    docs += [json.loads(job.text) for job in bench_jobs("game_verify", 11, tiny=True)]
+    rng = np.random.default_rng(22)
+    docs += [random_game_doc(rng) for _ in range(40)]
+    ints, compiled = Counter(), 0
+    for doc in docs:
+        twin = load_game(json.loads(json.dumps(_integral_as_int(doc, ints))))
+        want = load_game(doc)
+        assert_same_loaded_game(twin, want)
+        got = _outcome(lambda game: compile_game(*game), twin)
+        if got[0] == "error":  # an exactly leaving row with slower entries
+            assert got == _outcome(lambda game: compile_game(*game), want)
+            continue
+        (chain, g), (want_chain, want_g) = got[1], compile_game(*want)
+        assert list(chain.entries) == list(want_chain.entries)
+        for key, m in chain.entries.items():
+            w = want_chain.entries[key]
+            assert type(m.coeff) is float and m.coeff.hex() == w.coeff.hex() and m.exp == w.exp
+        assert g.dtype == np.float64 and g.tobytes() == want_g.tobytes()
+        assert chain.lambda_max.hex() == want_chain.lambda_max.hex()
+        compiled += 1
+    assert compiled >= 30 and ints[0] >= 100 and ints[1] >= 100
 
 
 # ------------------------------------------------------------- compiling

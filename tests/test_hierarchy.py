@@ -553,6 +553,30 @@ def test_report_round_trips_through_parse():
     assert parse_report(doc) == doc
 
 
+ONE_DOC = {"coeff": 1.0, "exp": "0"}
+
+
+def at_level(doc: dict, i: int, **changes) -> dict:
+    """`doc` with the entries `changes` of its level `i` replaced."""
+    levels = list(doc["levels"])
+    levels[i] = dict(levels[i], **changes)
+    return dict(doc, levels=levels)
+
+
+def test_report_of_every_fixture_and_tiny_job_parses():
+    chains = [load_chain(fixture(name)) for name in CHAIN_FIXTURES]
+    chains += [compile_game(*load_game(fixture(f"{name}.json")))[0] for name in GAME_FIXTURES]
+    for workload in ("ladder", "dense_classes", "game_verify"):
+        for job in bench_jobs(workload, 11, tiny=True):
+            doc = json.loads(job.text)
+            chains.append(compile_game(*load_game(doc))[0] if job.kind == "game" else load_chain(doc))
+    for chain in chains:
+        doc = report(analyze(chain))
+        assert parse_report(json.dumps(doc)) == doc
+        # as the CLI writes it
+        assert parse_report(json.dumps(doc, sort_keys=True)) == doc
+
+
 def test_parse_report_rejects_malformed_documents():
     good = report(analyze(load_chain(fixture("twostate_unit.json"))))
     with pytest.raises(InputError):
@@ -614,6 +638,29 @@ def test_parse_report_rejects_malformed_documents():
         (dict(eight, classes=[["1", "2", "3"], ["4"], ["7", 8]]), r"'classes'\[2\] must be a nonempty list"),
         (dict(eight, alphas=["0", "2/5", "1/5", "3/5", "1"]), r"'alphas'\[2\] does not exceed 'alphas'\[1\]"),
         (dict(eight, alphas=["0", "1/5", "2/5", "3/5", "3/5"]), r"'alphas'\[4\] does not exceed"),
+        # measures, class members and transients that do not fit together
+        (dict(eight, levels=[dict(lev, measures={"nope": 5}) for lev in levels]),
+         r"'levels'\[0\] 'measures' must hold one entry per class"),
+        (dict(eight, levels=[dict(lev, classes=[["zz"]]) for lev in levels]),
+         r"'levels'\[0\] 'measures' must hold one entry per class"),
+        (at_level(eight, 0, measures={**levels[0]["measures"], "{7,8}": {"6": ONE_DOC}}),
+         r"'levels'\[0\] 'measures' must hold one entry per class"),
+        (at_level(eight, 3, measures={**levels[3]["measures"], "{1,2,3}": {"1": ONE_DOC, "2": ONE_DOC}}),
+         r"'levels'\[3\] 'measures' must hold one entry per class"),
+        (at_level(eight, 3, measures={**levels[3]["measures"], "4": {"4": dict(ONE_DOC, coeff=True)}}),
+         r"'levels'\[3\] measure of '4' in '4' must be an object"),
+        (at_level(eight, 1, measures={**levels[1]["measures"], "2": {"2": dict(ONE_DOC, coeff=math.inf)}}),
+         r"'levels'\[1\] measure of '2' in '2' must be an object"),
+        (at_level(eight, 0, measures={**levels[0]["measures"], "1": {"1": dict(ONE_DOC, exp="1/0")}}),
+         r"'levels'\[0\] measure of '1' in '1' must be an object"),
+        (at_level(eight, 0, measures={**levels[0]["measures"], "1": {"1": dict(ONE_DOC, junk=1)}}),
+         r"'levels'\[0\] measure of '1' in '1' must be an object"),
+        (at_level(eight, 0, transient=["5", "1"]), r"'levels'\[0\] members and transients must be the 8 distinct states"),
+        (at_level(eight, 0, transient=[]), r"'levels'\[0\] members and transients must be the 8 distinct states"),
+        (at_level(eight, 2, transient=["1", "2", "5"]),
+         r"'levels'\[2\] members and transients must be the class nodes and transients of 'levels'\[1\]"),
+        (dict(eight, classes=[["1", "2", "3"], ["4"], ["7", "zz"]]),
+         r"'classes'\[2\] holds 'zz', which is not a state of 'levels'\[0\]"),
     ):
         with pytest.raises(InputError, match=where):
             parse_report(doc)
