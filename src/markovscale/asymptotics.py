@@ -4,8 +4,10 @@ Every quantity tracked by this package is the leading term of an expansion
 c * lam**e + o(lam**e) with c >= 0 and a rational exponent e.  Arithmetic on
 such terms is subtraction-free: addition keeps the smaller exponent (summing
 coefficients on ties), multiplication multiplies coefficients and adds
-exponents.  The zero element is represented with an infinite exponent so that
-it is absorbing for addition and annihilating for multiplication.
+exponents.  Coefficients follow plain float + * /, with no special case: the
+zero element (0, inf) is absorbing for addition and annihilating for
+multiplication by float arithmetic alone, and a product or quotient that
+underflows keeps its exponent with coefficient 0.0, so no step drops a term.
 
 Exponents are exact rationals; `math.inf` is the reserved sentinel for the
 exponent of zero.  Public objects carry `fractions.Fraction` exponents; the
@@ -17,7 +19,7 @@ exact.
 The `mono_*` functions are the one statement of the rules.  The hot loops
 of the elimination kernel and the ladder carry terms as plain (coeff, exp)
 pairs and write these steps out inline, each doing exactly what the
-`mono_*` chain it replaces does, zero rules and underflow included.
+`mono_*` chain it replaces does, underflow included.
 """
 
 from __future__ import annotations
@@ -94,9 +96,7 @@ def monomial(coeff: float, exp: Exponent) -> Monomial:
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    """Product: coefficients multiply, exponents add.  Zero is annihilating."""
-    if a.is_zero() or b.is_zero():
-        return ZERO
+    """Product: coefficients multiply, exponents add."""
     return Monomial(a.coeff * b.coeff, a.exp + b.exp)
 
 
@@ -106,18 +106,15 @@ def mono_add(a: Monomial, b: Monomial) -> Monomial:
         return a
     if b.exp < a.exp:
         return b
-    if a.is_zero():  # both zero
-        return ZERO
     return Monomial(a.coeff + b.coeff, a.exp)
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """Quotient a/b; b must be nonzero.  Exponents may go negative here —
-    that only ever happens transiently inside measure normalization."""
+    """Quotient a/b; b must have a nonzero coefficient.  Exponents may go
+    negative here — that only ever happens transiently inside measure
+    normalization."""
     if b.is_zero():
         raise ZeroDivisionError("division by the zero monomial")
-    if a.is_zero():
-        return ZERO
     return Monomial(a.coeff / b.coeff, a.exp - b.exp)
 
 
@@ -205,9 +202,19 @@ class PublicTable(Mapping):
         return repr(dict(self.items()))
 
 
+def pair_sum(pairs) -> tuple:
+    """mono_add-fold of (coeff, exp) pairs, as a pair: the least exponent,
+    with the coefficients that reach it summed in order ((0.0, inf) for
+    none)."""
+    sc, se = ZERO
+    for c, e in pairs:
+        if e < se:
+            sc, se = c, e
+        elif e == se:
+            sc += c
+    return sc, se
+
+
 def mono_sum(terms) -> Monomial:
     """mono_add-fold of an iterable (empty sum is zero)."""
-    acc = ZERO
-    for t in terms:
-        acc = mono_add(acc, t)
-    return acc
+    return Monomial(*pair_sum(terms))

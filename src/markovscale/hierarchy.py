@@ -72,8 +72,7 @@ class HierarchyLevel:
     #: node -> the leading order of its row (`_leading_order`)
     _lead: dict | None = field(default=None, compare=False, repr=False)
     #: the nodes the next level counts as changed whatever their minimum
-    #: exit: the classes of two or more nodes this level created, and the
-    #: rebuilt rows whose leading order is not the renamed previous one
+    #: exit: the classes of two or more nodes this level created
     _fresh: list | None = field(default=None, compare=False, repr=False)
 
 
@@ -189,19 +188,16 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
 
     Only the nodes that a changed node reaches in the support are
     classified.  A node is changed if the previous level created it (a class
-    of two or more nodes), if its minimum exit exponent lies in (previous
-    alpha, alpha], or if its row was rebuilt with a leading order that is
-    not the renamed previous one; on a level that does not record what it
-    created, the base level included, every node is changed.  Every other
-    node keeps its status: a transient stays transient, and a one-node
-    class stays one, with period 1.  This is sound.  An SCC that no changed
-    node reaches consists of unchanged rows.  Their arcs lead either to
-    merged nodes, which lie outside the SCC, or to the same nodes as
-    before, so the SCC and whether it is closed are unchanged.  A row
-    rebuilt only because its targets merged keeps its leading order, with
-    one exception: the zero rule of the fold can drop an underflowed term,
-    which raises the minimum or loses a target; such a row counts as
-    changed.  Nodes reached from a changed node form a set closed under the
+    of two or more nodes), or if its minimum exit exponent lies in (previous
+    alpha, alpha]; on a level that does not record what it created, the
+    base level included, every node is changed.  Every other node keeps its
+    status: a transient stays transient, and a one-node class stays one,
+    with period 1.  This is sound.  An SCC that no changed node reaches
+    consists of unchanged rows.  Their arcs lead either to merged nodes,
+    which lie outside the SCC, or to the same nodes as before, so the SCC
+    and whether it is closed are unchanged.  A row rebuilt only because its
+    targets merged keeps its leading order, renamed: the fold never drops a
+    term.  Nodes reached from a changed node form a set closed under the
     support, so `classify` on it finds their SCCs as on the whole level.
 
     A node that stays itself (a one-node class or a transient) keeps the
@@ -277,7 +273,6 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     # mono_mul written out inline
     agg: dict[Node, dict[Node, tuple]] = {}
     new_lead: dict[Node, tuple] = {}
-    fresh = list(merged)
     for u in new_nodes:
         cls = merged.get(u)
         if cls is not None:
@@ -289,12 +284,12 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
                     tgt = parent[v]
                     if tgt != u:
                         # acc[tgt] = mono_add(acc[tgt], mono_mul(pi_z, m))
-                        c, e = (pc * c, pe + e) if pc != 0.0 and c != 0.0 else ZERO
+                        c, e = pc * c, pe + e
                         oc, oe = acc.get(tgt, ZERO)
                         if e < oe:
                             acc[tgt] = (c, e)
                         elif e == oe:
-                            acc[tgt] = (oc + c, oe) if oc != 0.0 else ZERO
+                            acc[tgt] = (oc + c, oe)
             new_lead[u] = _leading_order(acc)
         else:
             row = Q[u]
@@ -315,10 +310,8 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
                         if m[1] < oe:
                             acc[tgt] = m
                         elif m[1] == oe:
-                            acc[tgt] = (oc + m[0], oe) if oc != 0.0 else ZERO
-                    new = new_lead[u] = _leading_order(acc)
-                    if new[0] != emin or set(new[1]) != {parent[v] for v in targets}:
-                        fresh.append(u)
+                            acc[tgt] = (oc + m[0], oe)
+                    new_lead[u] = _leading_order(acc)
         agg[u] = acc
 
     return HierarchyLevel(
@@ -332,7 +325,7 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         aggregated=agg,
         parent=parent,
         _lead=new_lead,
-        _fresh=fresh,
+        _fresh=list(merged),
     )
 
 

@@ -7,7 +7,8 @@ aggregation: invariant measures of recurrence classes and entrance laws of
 transient nodes.  Both come from one Grassmann-Taksar-Heyman state reduction
 run in the monomial semiring (`_eliminate`); it uses only + x / on
 nonnegative terms, so its leading terms are exact, and its cost is
-polynomial in the class size.
+polynomial in the class size.  Coefficients are plain floats: a product or
+quotient that underflows keeps its exponent, and no step drops a term.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .asymptotics import ONE, ZERO, Monomial
+from .asymptotics import ONE, ZERO, Monomial, pair_sum
 # the rules that the inlined steps below follow; the benchmark's span tracer
 # (bench/spans.py) counts calls made through these names
 from .asymptotics import mono_add, mono_div, mono_mul  # noqa: F401
@@ -149,13 +150,13 @@ def _eliminate(rows: dict, order) -> list[tuple]:
     Takes the nodes in `order` out of the graph `rows` one at a time; removing
     k turns every path i -> k -> j into an arc i -> j of weight
     w_ik * w_kj / s_k, with s_k the total exit of k at that moment, and drops
-    self-arcs.  Returns one (k, out-arcs, in-arcs, s_k) record per removal,
+    self-arcs, only those: an arc whose coefficient underflowed to 0.0 keeps
+    its place.  Returns one (k, out-arcs, in-arcs, s_k) record per removal,
     taken just before k leaves the graph; arcs to nodes without a row are
     kept and never removed.  Arcs and s_k are (coeff, exp) pairs (a
     `Monomial` reads as one); the semiring steps are written out inline.
     """
-    out = {u: {v: m for v, m in row.items() if v != u and m[0] != 0.0}
-           for u, row in rows.items()}
+    out = {u: {v: m for v, m in row.items() if v != u} for u, row in rows.items()}
     inn: dict = {}
     for u, row in out.items():
         for v, m in row.items():
@@ -164,13 +165,7 @@ def _eliminate(rows: dict, order) -> list[tuple]:
     for k in order:
         succ = out.pop(k)
         pred = inn.pop(k, {})
-        # s_k = mono_sum(succ.values())
-        sc, se = ZERO
-        for c, e in succ.values():
-            if e < se:
-                sc, se = c, e
-            elif e == se:
-                sc, se = (sc + c, se) if sc != 0.0 else ZERO
+        sc, se = pair_sum(succ.values())  # s_k
         if sc == 0.0:
             raise InternalError(f"node {k!r} has no exit left when it is eliminated")
         for j in succ:
@@ -182,13 +177,12 @@ def _eliminate(rows: dict, order) -> list[tuple]:
                 if j == i:
                     continue
                 # w_ij = mono_add(w_ij, mono_div(mono_mul(w_ik, w_kj), s_k))
-                c = ci * cj if ci != 0.0 and cj != 0.0 else 0.0
-                c, e = (c / sc, ei + ej - se) if c != 0.0 else ZERO
+                c, e = ci * cj / sc, ei + ej - se
                 oc, oe = row.get(j, ZERO)
                 if e < oe:
                     row[j] = inn[j][i] = (c, e)
                 elif e == oe:
-                    row[j] = inn[j][i] = (oc + c, oe) if oc != 0.0 else ZERO
+                    row[j] = inn[j][i] = (oc + c, oe)
         steps.append((k, succ, pred, (sc, se)))
     return steps
 
@@ -214,12 +208,12 @@ def invariant_measure(matrix: dict, cls) -> dict:
         ac, ae = ZERO
         for i, (cw, ew) in pred.items():
             pc, pe = pi[i]
-            c, e = (pc * cw, pe + ew) if pc != 0.0 and cw != 0.0 else ZERO
+            c, e = pc * cw, pe + ew
             if e < ae:
                 ac, ae = c, e
             elif e == ae:
-                ac, ae = (ac + c, ae) if ac != 0.0 else ZERO
-        pi[k] = (ac / sc, ae - se) if ac != 0.0 else ZERO
+                ac += c
+        pi[k] = (ac / sc, ae - se)
     if any(c == 0.0 for c, _ in pi.values()):
         raise InternalError(
             "class is not strongly connected in the matrix support; "
@@ -227,20 +221,17 @@ def invariant_measure(matrix: dict, cls) -> dict:
         )
     # total = mono_sum(pi.values()), nonzero as every term is; then
     # mono_div(pi_u, total) for each member
-    tc, te = ZERO
-    for c, e in pi.values():
-        if e < te:
-            tc, te = c, e
-        elif e == te:
-            tc, te = (tc + c, te) if tc != 0.0 else ZERO
+    tc, te = pair_sum(pi.values())
     return {u: Monomial(pi[u][0] / tc, pi[u][1] - te) for u in members}
 
 
 def scaled_law_terms(lim: float, row: dict, n_classes: int):
     """(class index, lim * weight) for every class at which lim times the
     sparse entrance-law row `row` can change a sum: the nonzero products,
-    and, when an overflow made lim inf or nan, lim * 0.0 == nan at the
-    classes `row` lacks, as a dense row would have it."""
+    and, when lim is inf or nan, lim * 0.0 == nan at the classes `row`
+    lacks, as a dense row would have it.  Entrance-law limits are at most 1,
+    but `analyze` also scales law rows by aggregated exit coefficients,
+    which can overflow to inf (1e170 * 1e170)."""
     if not math.isfinite(lim):
         row = {i: row.get(i, 0.0) for i in range(n_classes)}
     for i, w in row.items():
@@ -262,11 +253,10 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
 
     Sources first, every predecessor of a transient SCC is gone before the
     SCC's first node is eliminated, so fill stays inside an SCC: a node that
-    is its own SCC keeps its row, less self-arcs and zero terms, as its
-    out-arcs, and only SCCs of two or more nodes run `_eliminate`, on their
-    own rows.  All eliminations come first, so that a node with no exit
-    left is found in the same order as by one elimination of every
-    transient.
+    is its own SCC keeps its row, less self-arcs, as its out-arcs, and only
+    SCCs of two or more nodes run `_eliminate`, on their own rows.  All
+    eliminations come first, so that a node with no exit left is found in
+    the same order as by one elimination of every transient.
     """
     classes = decomposition.recurrent
     law: dict = {}
@@ -284,14 +274,8 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
             steps += _eliminate({u: rows[u] for u in comp}, comp)
             continue
         (k,) = comp
-        out = {v: m for v, m in rows[k].items() if v != k and m[0] != 0.0}
-        # s_k = mono_sum(out.values()), as _eliminate forms it
-        sc, se = ZERO
-        for c, e in out.values():
-            if e < se:
-                sc, se = c, e
-            elif e == se:
-                sc, se = (sc + c, se) if sc != 0.0 else ZERO
+        out = {v: m for v, m in rows[k].items() if v != k}
+        sc, se = pair_sum(out.values())  # s_k, as _eliminate forms it
         if sc == 0.0:
             raise InternalError(f"node {k!r} has no exit left when it is eliminated")
         steps.append((k, out, None, (sc, se)))
@@ -301,8 +285,7 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
             if j not in law:
                 raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
             # mono_limit(mono_div(w_kj, s_k))
-            if c != 0.0:
-                c, e = c / sc, e - se
+            c, e = c / sc, e - se
             if c == 0.0 or e > 0:
                 lim = 0.0
             elif e == 0:

@@ -243,8 +243,7 @@ TINY_COEFFS = (5e-324, 1e-300, 1e-170)
 def with_tiny_coefficients(rng: np.random.Generator, chain, share: float = 0.3):
     """The chain with each coefficient replaced, with probability `share`,
     by one of TINY_COEFFS.  Measures and aggregated exits then underflow to
-    coefficient 0.0 at finite exponents, where the fold's zero rule drops
-    terms."""
+    coefficient 0.0 at finite exponents."""
     entries = {key: Monomial(float(rng.choice(TINY_COEFFS)), m.exp) if rng.random() < share else m
                for key, m in chain.entries.items()}
     return chain_from_entries(list(chain.states), entries)
@@ -252,13 +251,14 @@ def with_tiny_coefficients(rng: np.random.Generator, chain, share: float = 0.3):
 
 def random_zero_rule_chain(rng: np.random.Generator):
     """Four exponent-0 rings X, B, C and Z of two or three states, built so
-    that the fold's zero rule drops a term of a renamed row.  X's first state
-    leads into B with coefficient 5e-324, which X's measure (below 1/2 there)
+    that a renamed row sums a term that underflowed.  X's first state leads
+    into B with coefficient 5e-324, which X's measure (below 1/2 there)
     turns into 0.0; X's last state leads into C; both arcs have exponent e1.
     B and C join at e2 > e1, and B leaves for Z at e3 > e2, below 1.  When B
-    and C merge, X's two terms sum to the zero element, so X's minimum exit
-    rises from e1 to its exit at exponent 1, if it drew one: X is transient
-    up to that level and a one-node class at e3."""
+    and C merge, X's two terms tie at e1, and their sum keeps X's exit there,
+    so X stays transient and Z is the one final class.  A fold that treated
+    the first, 0.0 term as the zero element would drop the second and make
+    X a one-node class at e3."""
     rings = {name: [f"{name}{i}" for i in range(int(rng.integers(2, 4)))] for name in "XBCZ"}
     entries = {}
     for ring in rings.values():
@@ -667,8 +667,7 @@ def _frozen_eliminate(rows: dict, order) -> list[tuple]:
     """The elimination kernel as it stood before it ran on plain pairs: the
     same records as `structure._eliminate`, every step a `mono_*` call on
     `Monomial`s."""
-    out = {u: {v: m for v, m in row.items() if v != u and not m.is_zero()}
-           for u, row in rows.items()}
+    out = {u: {v: m for v, m in row.items() if v != u} for u, row in rows.items()}
     inn: dict = {}
     for u, row in out.items():
         for v, m in row.items():
@@ -693,11 +692,11 @@ def _frozen_eliminate(rows: dict, order) -> list[tuple]:
     return steps
 
 
-def _frozen_invariant_measure(matrix: dict, cls) -> dict:
+def _frozen_invariant_measure(matrix: dict, cls, one=ONE) -> dict:
     members = list(cls)
     mset = set(members)
     rows = {u: {v: m for v, m in matrix.get(u, {}).items() if v in mset} for u in members}
-    pi = {members[0]: ONE}
+    pi = {members[0]: one}
     for k, _, pred, s_k in reversed(_frozen_eliminate(rows, members[1:])):
         pi[k] = mono_div(mono_sum(mono_mul(pi[i], w) for i, w in pred.items()), s_k)
     if any(v.is_zero() for v in pi.values()):
@@ -729,7 +728,7 @@ def _frozen_entrance_law(matrix: dict, decomposition) -> dict:
     return law
 
 
-def _frozen_build_level(previous, alpha, chain):
+def _frozen_build_level(previous, alpha, chain, one=ONE):
     Q = previous.aggregated
     state_order = chain.index
     decomp = _frozen_classify(_frozen_level_support(Q, previous.nodes, alpha))
@@ -743,7 +742,7 @@ def _frozen_build_level(previous, alpha, chain):
         new_nodes.append(node)
         recurrent_nodes.append(node)
         period[node] = decomp.period[cls]
-        measures[node] = _frozen_invariant_measure(restricted, cls)
+        measures[node] = _frozen_invariant_measure(restricted, cls, one)
     for t in decomp.transient:
         parent[t] = t
         new_nodes.append(t)
@@ -769,6 +768,58 @@ def _frozen_build_level(previous, alpha, chain):
         transient_nodes=transient_nodes, period=period, measures=measures, aggregated=agg,
         parent=parent,
     )
+
+
+def exact_ladder(chain) -> tuple[list, list]:
+    """The frozen ladder (`next_threshold` and `_frozen_build_level`, every
+    step a `mono_*` call) run on the chain's `Fraction` exponents and on
+    exact `Fraction` coefficients, so that no product or quotient rounds or
+    underflows.  The unit of the measures comes from the coefficient type:
+    `ONE`'s 1.0 would turn every quotient by it back into a float.
+    Returns (levels, alphas), alphas ending with the terminal threshold."""
+    one = Monomial(Fraction(1), 0)
+    nodes = [(s,) for s in chain.states]
+    agg = {n: {} for n in nodes}
+    for (src, dst), m in chain.entries.items():
+        agg[(src,)][(dst,)] = Monomial(Fraction(m.coeff), m.exp)
+    level = HierarchyLevel(
+        index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes), transient_nodes=[],
+        period={}, measures={}, aggregated=agg, parent={},
+    )
+    levels, alphas = [level], []
+    while True:
+        alpha = next_threshold(level)
+        alphas.append(alpha)
+        if alpha >= 1:
+            return levels, alphas
+        level = _frozen_build_level(level, alpha, chain, one)
+        levels.append(level)
+
+
+def check_against_exact_ladder(chain, coeff_rtol=None) -> bool:
+    """Where `analyze` succeeds on the chain, check that every level has the
+    exact ladder's alpha, classes, transients and measure exponents, and,
+    with `coeff_rtol`, measure coefficients within that relative distance
+    of the exact ones.  Returns whether `analyze` succeeded."""
+    try:
+        model = hierarchy.analyze(chain)
+    except InternalError:
+        return False
+    levels, alphas = exact_ladder(chain)
+    assert model.alphas == alphas
+    assert len(model.levels) == len(levels)
+    for got, want in zip(model.levels[1:], levels[1:]):
+        assert got.alpha == want.alpha
+        assert got.recurrent_nodes == want.recurrent_nodes
+        assert got.transient_nodes == want.transient_nodes
+        for node, pi in want.measures.items():
+            measure = got.measures[node]
+            assert [(u, m.exp) for u, m in measure.items()] == [(u, m.exp) for u, m in pi.items()]
+            if coeff_rtol is not None:
+                for u, m in pi.items():
+                    c = measure[u].coeff
+                    assert math.isfinite(c) and abs(Fraction(c) - m.coeff) <= Fraction(coeff_rtol) * m.coeff
+    return True
 
 
 def entrance_index(mu):

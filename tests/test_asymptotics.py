@@ -11,6 +11,7 @@ from markovscale.asymptotics import (
     INF,
     ONE,
     ZERO,
+    Monomial,
     format_exponent,
     mono_add,
     mono_div,
@@ -19,6 +20,7 @@ from markovscale.asymptotics import (
     mono_mul,
     mono_sum,
     monomial,
+    pair_sum,
     parse_exponent,
 )
 
@@ -102,9 +104,12 @@ def test_add_sums_coefficients_on_exponent_ties():
 
 
 def test_add_with_zero_is_identity():
-    a = monomial(0.3, F(1, 3))
-    assert mono_add(a, ZERO) == a
-    assert mono_add(ZERO, ZERO) == ZERO
+    # ZERO needs no special case: inf loses every exponent comparison, and
+    # 0.0 * c == 0.0, inf + e == inf make it annihilating too
+    for a in (monomial(0.3, F(1, 3)), Monomial(3.0, 0), Monomial(0.0, 1)):
+        assert mono_add(a, ZERO) == a and mono_add(ZERO, a) == a
+        assert mono_mul(a, ZERO) == ZERO and mono_mul(ZERO, a) == ZERO
+    assert mono_add(ZERO, ZERO) == ZERO and mono_mul(ZERO, ZERO) == ZERO
 
 
 def test_mul_multiplies_coefficients_and_adds_exponents():
@@ -149,6 +154,49 @@ def test_sum_folds_a_sequence():
     parts = [monomial(1.0, F(1, 5)), monomial(2.0, F(1, 5)), monomial(7.0, F(1))]
     assert mono_sum(parts) == monomial(3.0, F(1, 5))
     assert mono_sum([]) == ZERO
+
+
+# ------------------------------------------ coefficients are plain floats
+
+
+@pytest.mark.parametrize("e", [0, 2, F(1, 3)])
+def test_a_coefficient_that_underflowed_keeps_its_exponent_and_its_place(e):
+    m = Monomial(0.25, F(1, 2))
+    # a 0.0 coefficient at a finite exponent is a term, not the zero element
+    assert mono_add(Monomial(0.0, e), Monomial(0.5, e)) == (0.5, e)
+    assert mono_add(Monomial(0.5, e), Monomial(0.0, e)) == (0.5, e)
+    assert mono_mul(Monomial(0.0, e), m) == (0.0, e + m.exp)
+    assert mono_div(Monomial(0.0, e), m) == (0.0, e - m.exp)
+    assert mono_mul(Monomial(5e-324, e), m) == (0.0, e + m.exp)
+    with pytest.raises(ZeroDivisionError):
+        mono_div(m, Monomial(0.0, e))
+
+
+def _bits(m) -> tuple:
+    c, e = m
+    return c.hex(), e, type(e)
+
+
+#: terms with exponents of both kinds (int as on the ladder's ticks, Fraction
+#: as in public tables), few of them so that ties are common, 0.0 and
+#: underflowing coefficients, and the zero element
+fold_terms = st.one_of(
+    st.just(ZERO),
+    st.builds(
+        Monomial,
+        st.one_of(st.sampled_from((0.0, 5e-324, 1e-300, 1.0)), st.floats(0.0, 4.0)),
+        st.sampled_from((0, 1, 2, F(0), F(1), F(3, 2))),
+    ),
+)
+
+
+@given(st.lists(fold_terms, max_size=8))
+def test_pair_sum_is_the_mono_add_fold_bit_for_bit(terms):
+    acc = ZERO
+    for t in terms:
+        acc = mono_add(acc, t)
+    assert _bits(pair_sum(tuple(t) for t in terms)) == _bits(acc)
+    assert _bits(mono_sum(terms)) == _bits(acc)
 
 
 # ------------------------------------------------- algebraic properties

@@ -5,7 +5,10 @@ calling `mono_add`, `mono_mul`, `mono_div` and `mono_limit`.  Each inlined
 step must give what its `mono_*` chain gives, bit for bit: zero
 coefficients, exponent ties, products and quotients that underflow to a
 0.0 coefficient at a finite exponent, and int as well as `Fraction`
-exponents.  The references are the `mono_*` copies in `helpers`.
+exponents.  A 0.0 coefficient is a plain float: it keeps its exponent and
+its place in a sum, and no step drops it.  The references are the `mono_*`
+copies in `helpers`; the exact ladder there judges what float `analyze`
+makes of chains whose terms underflow.
 """
 
 import json
@@ -21,7 +24,7 @@ from markovscale.hierarchy import HierarchyLevel, build_level, next_threshold
 from markovscale.structure import ClassDecomposition
 
 from helpers import (_frozen_entrance_law, _frozen_eliminate, _frozen_invariant_measure, bench_jobs,
-                     check_incremental_ladder)
+                     check_against_exact_ladder, check_incremental_ladder)
 
 F = Fraction
 
@@ -83,8 +86,9 @@ def graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(graphs())
 # removing 1 gives 0 -> sink the quotient 5e-324 / 3 == 0.0 at exponent 0;
-# removing 2 ties it, and mono_add's zero rule makes it ZERO, so 0 has no
-# exit left when it is removed
+# removing 2 ties it with 1.0, and the sum keeps the 1.0, so 0 still has its
+# exit when it is removed (dropping the tie as the zero element would leave
+# 0 none)
 @example(({0: {1: Monomial(5e-324, 0), 2: Monomial(1.0, 0)},
            1: {"sink": Monomial(1.0, 0), 2: Monomial(2.0, 0)},
            2: {"sink": Monomial(1.0, 0)}}, [1, 2, 0]))
@@ -139,8 +143,10 @@ def decompositions(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(decompositions())
-# 0.5 / 5e-324 overflows to an inf limit on t1 -> t3, so the dense row of t1
-# holds inf * 0.0 == nan at a class its successors do not reach
+# the 0.0 arcs stay in the graph, so t0..t3 form one SCC; removing t3
+# leaves t2 only 0.0 coefficients at exponent 0 (5e-324 * 0.0 / 5e-324),
+# so t2 has no exit left when it is removed.  Without the 0.0 arcs, t1 would
+# get 0.5 / 5e-324, an inf limit, and inf * 0.0 == nan in its dense row
 @example(({"t0": {"t1": Monomial(0.0, 0), "t2": Monomial(0.0, 0), "r0": Monomial(5e-324, 0)},
            "t1": {"t0": Monomial(0.0, 0), "t2": Monomial(0.0, 0), "t3": Monomial(0.5, 0)},
            "t2": {"t0": Monomial(0.0, 0), "t1": Monomial(0.0, 0), "t3": Monomial(5e-324, 0)},
@@ -238,7 +244,7 @@ def chains(draw):
 def test_build_level_aggregates_like_its_mono_chains_bit_for_bit(chain):
     # on the chain's int ticks, as analyze runs it, and on its Fraction exponents
     _check_ladder(chain, hierarchy._base_level(chain), chain.scale.D)
-    # each level classifies like the full support, zero-rule drops included
+    # each level classifies like the full support, underflowed terms included
     check_incremental_ladder(chain)
     nodes = [(s,) for s in chain.states]
     agg = {n: {} for n in nodes}
@@ -247,6 +253,14 @@ def test_build_level_aggregates_like_its_mono_chains_bit_for_bit(chain):
     base = HierarchyLevel(index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes),
                           transient_nodes=[], period={}, measures={}, aggregated=agg, parent={})
     _check_ladder(chain, base, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains())
+def test_analyze_matches_the_exact_ladder_where_terms_underflow(chain):
+    # where float analyze succeeds, its thresholds, classes, transients and
+    # measure exponents are those of the ladder on exact coefficients
+    check_against_exact_ladder(chain)
 
 
 # ------------------------------------------------- Monomial traffic bound
