@@ -217,50 +217,38 @@ def _load_strategy(spec, actions, who) -> Strategy:
     return out
 
 
-def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> dict[str, list]:
+def validate_strategy(strategy: Strategy, actions, who: str = "strategy") -> None:
     """A regular strategy family maps every state to weights on that state's
     actions.  Every weight is finite and positive with a finite rational
     exponent >= 0, and the exponent-0 weights sum to 1 (the limit mixture).
-
-    Checked in one pass over the weights, which returns each state's weights
-    in row order as `(action, index of the action in actions[s], coeff,
-    (p, q))`, where p/q is the exponent."""
+    Checked in one pass over the weights; returns nothing and raises
+    `ChainFormatError` naming the first state or weight that breaks a rule."""
     if strategy.keys() != actions.keys():
         raise ChainFormatError(f"{who} must map every state")
-    out = {}
-    ratios: dict[int, tuple[int, int]] = {}  # id(exponent) -> (p, q); rows share exponents
     for s, row in strategy.items():
         acts = actions[s]
-        weights = out[s] = []
         mass0 = 0  # summed in row order, as build_chain does
         for a, (c, e) in row.items():
-            try:
-                k = acts.index(a)
-            except ValueError:
-                raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}") from None
+            if a not in acts:
+                raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}")
             if not 0 < c < INF:  # NaN fails too
                 if c == INF:
                     raise ChainFormatError(f"{who}[{s!r}][{a!r}] must have a finite weight, got inf")
                 raise ChainFormatError(
                     f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
                 )
-            pq = ratios.get(id(e))
-            if pq is None:
-                if not isinstance(e, (int, Fraction)):
-                    raise ChainFormatError(
-                        f"{who}[{s!r}][{a!r}] must have a finite rational exponent, got {e!r}"
-                    )
-                pq = ratios[id(e)] = (e.numerator, e.denominator)
-            if pq[0] <= 0:
-                if pq[0]:
+            if not isinstance(e, (int, Fraction)):
+                raise ChainFormatError(
+                    f"{who}[{s!r}][{a!r}] must have a finite rational exponent, got {e!r}"
+                )
+            if e.numerator <= 0:
+                if e.numerator:
                     raise ChainFormatError(
                         f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
                     )
                 mass0 += c
-            weights.append((a, k, c, pq))
         if not leaves_exactly(mass0):
             raise ChainFormatError(f"{who}[{s!r}]: exponent-0 weights sum to {mass0!r}, not 1")
-    return out
 
 
 def compile_game(game: StochasticGame, x: Strategy, y: Strategy) -> tuple[PerturbedChain, np.ndarray]:
@@ -271,26 +259,31 @@ def compile_game(game: StochasticGame, x: Strategy, y: Strategy) -> tuple[Pertur
     sum_{i,j} x(i) y(j) q(dest | s, i, j); self-transitions are dropped (the
     implied diagonal picks them up).  The payoff vector is the limit of the
     bilinear form sum_{i,j} x(i) y(j) g(s, i, j).  Both strategy families
-    are checked by `validate_strategy`.
+    are checked by `validate_strategy` and read as they are, each state's
+    weights in row order.
     """
-    xw = validate_strategy(x, game.actions1, "strategy1")
-    yw = validate_strategy(y, game.actions2, "strategy2")
-    scale = TickScale({q for w in (xw, yw) for row in w.values() for _, _, _, (_, q) in row})
+    validate_strategy(x, game.actions1, "strategy1")
+    validate_strategy(y, game.actions2, "strategy2")
+    scale = TickScale({e.denominator for w in (x, y) for row in w.values() for _, e in row.values()})
     D = scale.D
     entries: dict[tuple[str, str], tuple[float, int]] = {}
     gvec = []
     for s in game.states:
-        pay, moves, ys = game.payoff[s], game.transition[s], yw[s]
+        pay, moves = game.payoff[s], game.transition[s]
+        acts1, acts2 = game.actions1[s], game.actions2[s]
+        # n * (D // d) is scale.tick(n, d), on the scale of every exponent's
+        # denominator; an action's index is its payoff row or column
+        ys = [(a2, acts2.index(a2), yc, e.numerator * (D // e.denominator))
+              for a2, (yc, e) in y[s].items()]
         # destination -> (coefficient, tick) of its leading term so far: a
         # term at a smaller tick replaces it, one at the same tick adds to
         # it, so the sum at the smallest tick is added up in term order
         lead: dict[str, tuple[float, int]] = {}
         g = 0.0
-        for a1, k1, xc, (n1, d1) in xw[s]:
-            # n * (D // d) is scale.tick(n, d)
-            xe, arow = n1 * (D // d1), moves[a1]
-            for a2, k2, yc, (n2, d2) in ys:
-                wc, we = xc * yc, xe + n2 * (D // d2)
+        for a1, (xc, e) in x[s].items():
+            k1, xe, arow = acts1.index(a1), e.numerator * (D // e.denominator), moves[a1]
+            for a2, k2, yc, ye in ys:
+                wc, we = xc * yc, xe + ye
                 if we == 0:
                     g += wc * pay.item(k1, k2)
                 for dest, p in arow[a2].items():

@@ -26,7 +26,7 @@ def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
     get a zero diagonal, as the model assumes of them.  An entry c * lam**e
     is evaluated on its tick t as c * lam**(t / D): t / D is the correctly
     rounded float of e, and lam**0.0 == 1."""
-    if not 0.0 < lam <= chain.lambda_max * (1.0 + 1e-12):
+    if not 0.0 < lam <= chain.lambda_max:
         raise InputError(
             f"lambda {lam!r} outside the feasible range (0, {chain.lambda_max!r}]"
         )

@@ -284,14 +284,9 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
         for j, (c, e) in out.items():
             if j not in law:
                 raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
-            # mono_limit(mono_div(w_kj, s_k))
-            c, e = c / sc, e - se
-            if c == 0.0 or e > 0:
-                lim = 0.0
-            elif e == 0:
-                lim = c
-            else:
-                raise ValueError(f"monomial {Monomial(c, e)!r} diverges as lam -> 0")
+            # mono_limit(mono_div(w_kj, s_k)): s_k is the pair_sum of these
+            # arcs, so e >= se on every arc and no quotient diverges
+            lim = c / sc if e == se else 0.0
             for i, x in scaled_law_terms(lim, law[j], len(classes)):
                 h[i] = h.get(i, 0.0) + x
         law[k] = h

@@ -455,6 +455,7 @@ def test_compile_game_matches_the_frozen_fraction_front_end():
     docs = [switch_doc(), json.load(open(fixture("game_pure.json")))]
     rng = np.random.default_rng(8)
     docs += [random_game_doc(rng) for _ in range(420)]
+    docs += [json.loads(job.text) for seed in (7, 11) for job in bench_jobs("game_verify", seed, tiny=True)]
     compiled = mixed = ties = 0
     for doc in docs:
         try:
@@ -482,6 +483,55 @@ def test_compile_game_matches_the_frozen_fraction_front_end():
     # the inputs reach what the int compiler must get right: a common
     # denominator that no single exponent has, and sums of three or more ties
     assert mixed >= 150 and ties >= 100
+
+
+def _rebuilt(strategy, count: Counter):
+    """`strategy` rebuilt in Python: an integral exponent as a plain int and
+    every other one as a new Fraction per weight, so that no two weights
+    share an exponent object; the forms are counted in `count`."""
+    out = {}
+    for s, row in strategy.items():
+        out[s] = {}
+        for a, (c, e) in row.items():
+            if e.denominator == 1:
+                out[s][a] = Monomial(c, int(e))
+                count["int"] += 1
+            else:
+                out[s][a] = Monomial(c, Fraction(e.numerator, e.denominator))
+                count["fraction"] += 1
+    return out
+
+
+def test_compile_game_reads_int_and_unshared_fraction_exponents():
+    docs = [json.load(open(fixture(f"{name}.json"))) for name in GAME_FIXTURES]
+    docs += [json.loads(job.text) for job in bench_jobs("game_verify", 11, tiny=True)]
+    rng = np.random.default_rng(22)
+    docs += [random_game_doc(rng) for _ in range(60)]
+    count, compiled = Counter(), 0
+    for doc in docs:
+        game, x, y = load_game(doc)
+        loaded = [m.exp for w in (x, y) for row in w.values() for m in row.values()]
+        # the loader shares one exponent object among the weights of a text
+        assert len({id(e) for e in loaded}) < len(loaded)
+        rx, ry = _rebuilt(x, count), _rebuilt(y, count)
+        fractions = [m.exp for w in (rx, ry) for row in w.values() for m in row.values()
+                     if type(m.exp) is Fraction]
+        assert len({id(e) for e in fractions}) == len(fractions)
+        got = _outcome(lambda args: compile_game(*args), (game, rx, ry))
+        want = _outcome(lambda args: compile_game(*args), (game, x, y))
+        if want[0] == "error":  # an exactly leaving row with slower entries
+            assert got == want
+            continue
+        (chain, g), (want_chain, want_g) = got[1], want[1]
+        assert list(chain.entries) == list(want_chain.entries)
+        for key, m in chain.entries.items():
+            w = want_chain.entries[key]
+            assert type(m.exp) is Fraction and m.exp == w.exp
+            assert m.coeff.hex() == w.coeff.hex()
+        assert g.tobytes() == want_g.tobytes()
+        assert chain.lambda_max.hex() == want_chain.lambda_max.hex()
+        compiled += 1
+    assert compiled >= 50 and count["int"] >= 500 and count["fraction"] >= 500
 
 
 def test_pure_strategies_compile_to_the_underlying_kernel(pure):

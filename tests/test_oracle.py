@@ -91,6 +91,8 @@ def test_instantiate_rejects_infeasible_lambdas():
         instantiate(chain, 0.9)
     with pytest.raises(InputError, match="feasible"):
         instantiate(chain, chain.lambda_max * 1.001)
+    with pytest.raises(InputError, match="feasible"):  # lambda_max is the largest feasible float
+        instantiate(chain, math.nextafter(chain.lambda_max, 1.0))
     with pytest.raises(InputError, match="feasible"):
         instantiate(chain, 0.0)
     with pytest.raises(InputError, match="feasible"):
