@@ -73,6 +73,12 @@ class Monomial(NamedTuple):
         return f"({self.coeff:g}, {format_exponent(self.exp)})"
 
 
+#: `_tuple_new(Monomial, (c, e))` is `Monomial(c, e)` without the named
+#: tuple's Python-level `__new__`, at about half the cost; the loaders make
+#: one per chain entry and per strategy weight, the kernel one per measure
+#: value
+_tuple_new = tuple.__new__
+
 ZERO = Monomial(0.0, INF)
 #: the int exponent keeps int arithmetic int; it equals and hashes like Fraction(0)
 ONE = Monomial(1.0, 0)

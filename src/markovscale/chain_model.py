@@ -21,7 +21,8 @@ from functools import cached_property
 from fractions import Fraction
 from pathlib import Path
 
-from .asymptotics import INF, Exponent, Monomial, PublicTable, TickScale, format_exponent, parse_exponent
+from .asymptotics import (INF, Exponent, Monomial, PublicTable, TickScale, _tuple_new, format_exponent,
+                          parse_exponent)
 from .errors import ChainFormatError, InputError
 
 #: rows whose exponent-0 coefficients sum to within this of 1 are treated as
@@ -30,11 +31,6 @@ EXACT_LEAVING_TOL = 1e-9
 
 #: ticks above this are checked for exponents too large for a float
 _HUGE_TICK = 2**1000
-
-#: `_tuple_new(Monomial, (c, e))` is `Monomial(c, e)` without the named
-#: tuple's Python-level `__new__`, at about half the cost; the loaders make
-#: one per chain entry and per strategy weight
-_tuple_new = tuple.__new__
 
 _CHAIN_KEYS = {"states", "transitions"}
 _TRANSITION_KEYS = {"from", "to", "coeff", "exp"}

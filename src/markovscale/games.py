@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import INF, Exponent, Monomial, TickScale, parse_exponent
-from .chain_model import PerturbedChain, _tuple_new, build_chain, leaves_exactly, read_json_file, read_number
+from .asymptotics import INF, Exponent, Monomial, TickScale, _tuple_new, parse_exponent
+from .chain_model import PerturbedChain, build_chain, leaves_exactly, read_json_file, read_number
 from .errors import ChainFormatError
 from .evaluator import limit_payoff
 from .hierarchy import analyze

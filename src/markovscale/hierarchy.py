@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import INF, ZERO, Exponent, Monomial, PublicTable, format_exponent, parse_exponent
+from .asymptotics import INF, ONE, ZERO, Exponent, Monomial, PublicTable, format_exponent, parse_exponent
 # the rules that build_level's inlined aggregation follows; the benchmark's
 # span tracer (bench/spans.py) counts calls made through these names
 from .asymptotics import mono_add, mono_mul  # noqa: F401
@@ -69,7 +69,8 @@ class HierarchyLevel:
     measures: Mapping[Node, dict[Node, Monomial]]
     aggregated: Mapping[Node, dict[Node, Monomial]]
     parent: dict[Node, Node]
-    #: node -> the leading order of its row (`_leading_order`)
+    #: node -> the leading order of its row, its minimum exit exponent
+    #: (`_leading_order`)
     _lead: dict | None = field(default=None, compare=False, repr=False)
     #: the nodes the next level counts as changed whatever their minimum
     #: exit: the classes of two or more nodes this level created
@@ -105,9 +106,13 @@ def _base_level(chain: PerturbedChain) -> HierarchyLevel:
     """Level 0, every state a node: the chain's `tick_rows` keyed by node."""
     nodes = [(s,) for s in chain.states]
     node_of = dict(zip(chain.states, nodes))
-    agg = {node_of[s]: {node_of[d]: m for d, m in row.items()}
-           for s, row in chain.tick_rows.items()}
-    level = HierarchyLevel(
+    agg = {}
+    lead = {}
+    for s, row in chain.tick_rows.items():
+        u = node_of[s]
+        agg[u] = row = {node_of[d]: m for d, m in row.items()}
+        lead[u] = _leading_order(row)
+    return HierarchyLevel(
         index=0,
         alpha=None,
         nodes=nodes,
@@ -117,23 +122,18 @@ def _base_level(chain: PerturbedChain) -> HierarchyLevel:
         measures={},
         aggregated=agg,
         parent={},
+        _lead=lead,
     )
-    _leads(level)
-    return level
 
 
-def _leading_order(row) -> tuple:
-    """(minimum exit exponent, the targets attaining it, in row order) of a
-    row; (inf, []) for an empty one."""
+def _leading_order(row) -> Exponent:
+    """The leading order of a row: its minimum exit exponent (inf for an
+    empty row)."""
     emin = INF
-    targets = []
-    for v, (_, e) in row.items():
+    for _, e in row.values():
         if e < emin:
             emin = e
-            targets = [v]
-        elif e == emin:
-            targets.append(v)
-    return emin, targets
+    return emin
 
 
 def _leads(level: HierarchyLevel) -> dict:
@@ -147,31 +147,31 @@ def _leads(level: HierarchyLevel) -> dict:
 def next_threshold(level: HierarchyLevel) -> Exponent:
     """Smallest exit exponent among the level's recurrent nodes (inf if none)."""
     lead = _leads(level)
-    return min((lead[u][0] for u in level.recurrent_nodes), default=INF)
+    return min((lead[u] for u in level.recurrent_nodes), default=INF)
 
 
-def _level_support(lead: dict, roots, alpha: Exponent, leaving) -> dict:
+def _level_support(rows, lead: dict, roots, alpha: Exponent, leaving) -> dict:
     """Leading-order support at threshold alpha of the nodes that `roots`
-    reach in it, from the leading orders `lead` of their rows: a row whose
-    minimal exit exponent is <= alpha contributes its min-attaining arcs,
-    every other row is absorbing.  A row keeps its self-loop unless its
-    minimum is 0 and its node is in `leaving`, the nodes of the
-    exactly-leaving states (a merged node has none: its members' leading
-    arcs stay in its class)."""
+    reach in it, as lists of successors, from the rows and their leading
+    orders `lead`: a row whose leading order is <= alpha contributes its
+    arcs at that exponent, in row order, and every other row is absorbing.
+    A row keeps its self-loop unless its leading order is 0 and its node is
+    in `leaving`, the nodes of the exactly-leaving states (a merged node has
+    none: its members' leading arcs stay in its class)."""
     support = {}
     todo = list(roots)
     while todo:
         u = todo.pop()
         if u in support:
             continue
-        emin, targets = lead[u]
+        emin = lead[u]
         if emin <= alpha:
-            succ = set(targets)
+            succ = [v for v, (_, e) in rows[u].items() if e == emin]
+            todo.extend(succ)
             if emin != 0 or u not in leaving:
-                succ.add(u)
-            todo.extend(targets)
+                succ.append(u)
         else:
-            succ = {u}
+            succ = [u]
         support[u] = succ
     return support
 
@@ -196,14 +196,20 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     consists of unchanged rows.  Their arcs lead either to merged nodes,
     which lie outside the SCC, or to the same nodes as before, so the SCC
     and whether it is closed are unchanged.  A row rebuilt only because its
-    targets merged keeps its leading order, renamed: the fold never drops a
-    term.  Nodes reached from a changed node form a set closed under the
+    targets merged keeps its leading order: the fold never drops a term.
+    Nodes reached from a changed node form a set closed under the
     support, so `classify` on it finds their SCCs as on the whole level.
 
-    A node that stays itself (a one-node class or a transient) keeps the
+    Each table is built once.  A one-node class gets period 1 and the
+    measure row {u: ONE} without the kernel.  A class of two or more nodes
+    hands its members' arcs at exponent <= alpha to `invariant_measure`,
+    whose kernel keeps those between members in its one working copy.  A
+    node that stays itself (a one-node class or a transient) keeps the
     previous level's row object, and its leading order, when none of its
-    targets merged; every other row is built anew.  Rows are never mutated
-    once built, so levels may share them."""
+    targets merged; every other row is built anew.  So a level at which no
+    class of two or more nodes forms keeps the previous node order and
+    every row object.  Rows are never mutated once built, so levels may
+    share them."""
     Q = previous.aggregated
     lead = _leads(previous)
     state_order = chain.index
@@ -212,14 +218,14 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         changed = previous.nodes
     else:
         low = previous.alpha
-        changed = [u for u, (e, _) in lead.items() if low < e <= alpha]
+        changed = [u for u, e in lead.items() if low < e <= alpha]
         changed.extend(previous._fresh)
     leaving = {(s,) for s in chain.leaving}
-    reached = _level_support(lead, changed, alpha, leaving)
+    reached = _level_support(Q, lead, changed, alpha, leaving)
     decomp = classify({u: reached[u] for u in previous.nodes if u in reached})
     # the unreached nodes keep their status; merged in node order, which is
     # classify's order
-    first = {cls[0]: cls for cls in decomp.recurrent}
+    first = {cls[0]: cls for cls in decomp.recurrent if len(cls) > 1}
     transient = set(decomp.transient)
     transient.update(t for t in previous.transient_nodes if t not in reached)
 
@@ -232,6 +238,9 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     merged: dict[Node, tuple] = {}  # node -> class, for the classes of 2+ nodes
     moved: set[Node] = set()  # the previous nodes in those classes
 
+    # nodes stay in state order: the previous nodes are in it, each a sorted
+    # run of states, and a class of two or more nodes takes the place of its
+    # first member, which holds its least state
     for u in previous.nodes:
         if u in transient:
             new_nodes.append(u)
@@ -239,45 +248,43 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
             continue
         cls = first.get(u)
         if cls is None:
-            if u in reached:
+            if u in moved:
                 continue  # a later member of a class already taken
-            cls = (u,)
-        if len(cls) > 1:
+            node = parent[u] = u  # a one-node class
+            measures[u] = {u: ONE}
+            period[u] = 1
+        else:
             node = _merge_nodes(cls, state_order)
             for member in cls:
                 parent[member] = node
             merged[node] = cls
             moved.update(cls)
-            # the kernel reads the arcs inside the class at exponent <= alpha only
-            mset = set(cls)
-            inside = {z: {v: m for v, m in Q[z].items() if v in mset and m[1] <= alpha}
-                      for z in cls}
-        else:
-            node = parent[u] = u
-            inside = {}
+            period[node] = decomp.period[cls]
+            # the kernel reads the arcs between members at exponent <= alpha
+            # only; its one pass over these rows keeps the members' arcs
+            rows = {z: {v: m for v, m in Q[z].items() if m[1] <= alpha} for z in cls}
+            try:
+                measures[node] = invariant_measure(rows, cls)
+            except InternalError as exc:
+                raise InternalError(
+                    f"level {previous.index + 1}, class {_node_name(node)}: {exc}"
+                ) from exc
         new_nodes.append(node)
         recurrent_nodes.append(node)
-        period[node] = decomp.period.get(cls, 1)
-        try:
-            measures[node] = invariant_measure(inside, cls)
-        except InternalError as exc:
-            raise InternalError(
-                f"level {previous.index + 1}, class {_node_name(node)}: {exc}"
-            ) from exc
 
     for t in transient_nodes:  # after the class members, as classify lists them
         parent[t] = t
-    new_nodes.sort(key=lambda n: state_order[n[0]])
 
     # rows of (coeff, exp) pairs, summed with the steps of mono_add and
     # mono_mul written out inline
     agg: dict[Node, dict[Node, tuple]] = {}
-    new_lead: dict[Node, tuple] = {}
+    new_lead: dict[Node, Exponent] = {}
     for u in new_nodes:
         cls = merged.get(u)
         if cls is not None:
             pi = measures[u]
             acc = {}
+            emin = INF  # the least exponent folded in is the row's leading order
             for z in cls:
                 pc, pe = pi[z]
                 for v, (c, e) in Q[z].items():
@@ -288,20 +295,20 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
                         oc, oe = acc.get(tgt, ZERO)
                         if e < oe:
                             acc[tgt] = (c, e)
+                            if e < emin:
+                                emin = e
                         elif e == oe:
                             acc[tgt] = (oc + c, oe)
-            new_lead[u] = _leading_order(acc)
+            new_lead[u] = emin
         else:
+            # renaming and folding keep the row's leading order
+            new_lead[u] = lead[u]
             row = Q[u]
             if moved.isdisjoint(row):
                 acc = row
-                new_lead[u] = lead[u]
             else:
                 acc = {parent[v]: m for v, m in row.items()}
-                emin, targets = lead[u]
-                if len(acc) == len(row):  # no two targets merged into one node
-                    new_lead[u] = (emin, [parent[v] for v in targets])
-                else:
+                if len(acc) < len(row):  # two targets merged into one node
                     acc = {}
                     for v, m in row.items():
                         tgt = parent[v]
@@ -311,7 +318,6 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
                             acc[tgt] = m
                         elif m[1] == oe:
                             acc[tgt] = (oc + m[0], oe)
-                    new_lead[u] = _leading_order(acc)
         agg[u] = acc
 
     return HierarchyLevel(
@@ -364,12 +370,11 @@ def analyze(chain: PerturbedChain) -> LimitModel:
         alphas.append(alpha)
         current = build_level(current, alpha, chain)
         levels.append(current)
-        for meas in current.measures.values():
-            if len(meas) > 1:
-                for child, (c, e) in meas.items():
-                    for s in child:
-                        weight_coeff[s] *= c
-                        weight_exp[s] += e
+        for node in current._fresh:  # the classes of two or more nodes
+            for child, (c, e) in current.measures[node].items():
+                for s in child:
+                    weight_coeff[s] *= c
+                    weight_exp[s] += e
     if terminal is None:
         raise InternalError(
             f"aggregation did not terminate within the iteration guard of {guard} levels "

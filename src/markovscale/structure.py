@@ -17,7 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .asymptotics import ONE, ZERO, Monomial, pair_sum
+from .asymptotics import ONE, ZERO, Monomial, _tuple_new, pair_sum
 # the rules that the inlined steps below follow; the benchmark's span tracer
 # (bench/spans.py) counts calls made through these names
 from .asymptotics import mono_add, mono_div, mono_mul  # noqa: F401
@@ -37,11 +37,14 @@ class ClassDecomposition:
     period: dict[tuple, int]
 
 
-def _sccs(nodes, succ_map, finished=()):
+def _sccs(nodes, succ_map, finished=(), leaky=None):
     """Iterative Tarjan; returns SCCs as lists (reverse topological order).
     Nodes in `finished` already form components of their own and are passed
     over, which is sound for nodes that reach nothing else (sinks).  A node
-    is on the stack while it has a `low` entry."""
+    is on the stack while it has a `low` entry.  A set `leaky`, if given,
+    receives every node with an arc to another component: an arc to a node
+    that is visited and off the stack, or to a child whose component closed
+    before the node's own."""
     index: dict = dict.fromkeys(finished, -1)
     low: dict = {}
     stack: list = []
@@ -56,24 +59,24 @@ def _sccs(nodes, succ_map, finished=()):
         work = [(root, iter(succ_map.get(root, ())))]
         while work:
             u, it = work[-1]
+            lu = low[u]
             for v in it:
-                if v not in index:
+                iv = index.get(v)
+                if iv is None:
+                    low[u] = lu
                     index[v] = low[v] = counter
                     counter += 1
                     stack.append(v)
                     work.append((v, iter(succ_map.get(v, ()))))
                     break
                 if v in low:
-                    iv = index[v]
-                    if iv < low[u]:
-                        low[u] = iv
+                    if iv < lu:
+                        lu = iv
+                elif leaky is not None:
+                    leaky.add(u)
             else:
                 work.pop()
-                lu = low[u]
-                if work:
-                    p = work[-1][0]
-                    if lu < low[p]:
-                        low[p] = lu
+                low[u] = lu
                 if lu == index[u]:
                     comp = []
                     while True:
@@ -83,6 +86,12 @@ def _sccs(nodes, succ_map, finished=()):
                         if w == u:
                             break
                     out.append(comp)
+                    if work and leaky is not None:
+                        leaky.add(work[-1][0])
+                elif work:
+                    p = work[-1][0]
+                    if lu < low[p]:
+                        low[p] = lu
     return out
 
 
@@ -128,15 +137,17 @@ def classify(support: dict) -> ClassDecomposition:
         else:
             rest.append(u)
 
-    for comp in _sccs(rest, support, sinks):
-        cset = set(comp)
-        closed = all(v in cset for u in comp for v in support.get(u, ()))
-        if closed:
+    leaky: set = set()
+    for comp in _sccs(rest, support, sinks, leaky):
+        if leaky.isdisjoint(comp):  # closed: no arc leaves the component
             cls = tuple(sorted(comp, key=pos.__getitem__))
             recurrent.append(cls)
-            # a self-loop is a cycle of length 1
-            selfloop = any(u in support[u] for u in cls)
-            period[cls] = 1 if selfloop else _class_period(list(cls), support)
+            for u in cls:
+                if u in support[u]:  # a self-loop is a cycle of length 1
+                    period[cls] = 1
+                    break
+            else:
+                period[cls] = _class_period(list(cls), support)
         else:
             transient.extend(comp)
     recurrent.sort(key=lambda cls: pos[cls[0]])
@@ -144,7 +155,7 @@ def classify(support: dict) -> ClassDecomposition:
     return ClassDecomposition(recurrent=recurrent, transient=transient, period=period)
 
 
-def _eliminate(rows: dict, order) -> list[tuple]:
+def _eliminate(rows: dict, order, members=None) -> list[tuple]:
     """Grassmann-Taksar-Heyman state reduction in the monomial semiring.
 
     Takes the nodes in `order` out of the graph `rows` one at a time; removing
@@ -153,14 +164,24 @@ def _eliminate(rows: dict, order) -> list[tuple]:
     self-arcs, only those: an arc whose coefficient underflowed to 0.0 keeps
     its place.  Returns one (k, out-arcs, in-arcs, s_k) record per removal,
     taken just before k leaves the graph; arcs to nodes without a row are
-    kept and never removed.  Arcs and s_k are (coeff, exp) pairs (a
-    `Monomial` reads as one); the semiring steps are written out inline.
+    kept and never removed, unless `members` is given: then only the arcs
+    to its nodes are read.  The out-arc and in-arc maps it works on are
+    built in one pass over `rows`, which it never mutates.  Arcs and s_k are
+    (coeff, exp) pairs (a `Monomial` reads as one); the semiring steps are
+    written out inline.
     """
-    out = {u: {v: m for v, m in row.items() if v != u} for u, row in rows.items()}
+    out: dict = {}
     inn: dict = {}
-    for u, row in out.items():
+    for u, row in rows.items():
+        arcs = out[u] = {}
         for v, m in row.items():
-            inn.setdefault(v, {})[u] = m
+            if v != u and (members is None or v in members):
+                arcs[v] = m
+                into = inn.get(v)
+                if into is None:
+                    inn[v] = {u: m}
+                else:
+                    into[u] = m
     steps = []
     for k in order:
         succ = out.pop(k)
@@ -190,20 +211,24 @@ def _eliminate(rows: dict, order) -> list[tuple]:
 def invariant_measure(matrix: dict, cls) -> dict:
     """Leading-order invariant measure of a recurrence class, by eliminating
     every member but the first and back-substituting
-    pi_k = sum_i pi_i w_ik / s_k (subtraction-free; exact exponents).
+    pi_k = sum_i pi_i w_ik / s_k (subtraction-free; exact exponents).  Only
+    the arcs between members are read; the kernel's working maps are the
+    one copy of them.
 
     Returns {member: Monomial} in member order; the mono_add-fold of the
     values is (1, 0).  A one-node class gets {u: ONE} without elimination.
+    The aggregation ladder gives its one-node classes that row itself and
+    calls this for classes of two or more nodes only.
     """
     members = list(cls)
     if not members:
         raise InternalError("empty class")
+    root = members[0]
     if len(members) == 1:
-        return {members[0]: ONE}
-    mset = set(members)
-    rows = {u: {v: m for v, m in matrix.get(u, {}).items() if v in mset} for u in members}
-    pi = {members[0]: ONE}
-    for k, _, pred, (sc, se) in reversed(_eliminate(rows, members[1:])):
+        return {root: ONE}
+    rows = {u: matrix.get(u, {}) for u in members}
+    pi = {root: ONE}
+    for k, _, pred, (sc, se) in reversed(_eliminate(rows, members[1:], rows)):
         # pi_k = mono_div(mono_sum(mono_mul(pi_i, w_ik) for i), s_k)
         ac, ae = ZERO
         for i, (cw, ew) in pred.items():
@@ -213,16 +238,21 @@ def invariant_measure(matrix: dict, cls) -> dict:
                 ac, ae = c, e
             elif e == ae:
                 ac += c
-        pi[k] = (ac / sc, ae - se)
-    if any(c == 0.0 for c, _ in pi.values()):
-        raise InternalError(
-            "class is not strongly connected in the matrix support; "
-            "no invariant measure exists"
-        )
+        c = ac / sc
+        if c == 0.0:
+            raise InternalError(
+                "class is not strongly connected in the matrix support; "
+                "no invariant measure exists"
+            )
+        pi[k] = (c, ae - se)
     # total = mono_sum(pi.values()), nonzero as every term is; then
     # mono_div(pi_u, total) for each member
     tc, te = pair_sum(pi.values())
-    return {u: Monomial(pi[u][0] / tc, pi[u][1] - te) for u in members}
+    measure = {}
+    for u in members:
+        c, e = pi[u]
+        measure[u] = _tuple_new(Monomial, (c / tc, e - te))
+    return measure
 
 
 def scaled_law_terms(lim: float, row: dict, n_classes: int):
@@ -253,12 +283,14 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
 
     Sources first, every predecessor of a transient SCC is gone before the
     SCC's first node is eliminated, so fill stays inside an SCC: a node that
-    is its own SCC keeps its row, less self-arcs, as its out-arcs, and only
-    SCCs of two or more nodes run `_eliminate`, on their own rows.  All
-    eliminations come first, so that a node with no exit left is found in
-    the same order as by one elimination of every transient.
+    is its own SCC keeps its row, less self-arcs, as its out-arcs (the row
+    itself when it has none), and only SCCs of two or more nodes run
+    `_eliminate`, on their own rows.  All eliminations come first, so that a
+    node with no exit left is found in the same order as by one elimination
+    of every transient.
     """
     classes = decomposition.recurrent
+    nclasses = len(classes)
     law: dict = {}
     for i, cls in enumerate(classes):
         for u in cls:
@@ -266,15 +298,16 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
 
     transient = decomposition.transient
     rows = {u: matrix.get(u, {}) for u in transient}
-    tset = set(transient)
-    succ = {u: [v for v in rows[u] if v in tset] for u in transient}
+    succ = {u: [v for v in row if v in rows] for u, row in rows.items()}
     steps = []
     for comp in reversed(_sccs(transient, succ)):
         if len(comp) > 1:
             steps += _eliminate({u: rows[u] for u in comp}, comp)
             continue
         (k,) = comp
-        out = {v: m for v, m in rows[k].items() if v != k}
+        out = rows[k]
+        if k in out:
+            out = {v: m for v, m in out.items() if v != k}
         sc, se = pair_sum(out.values())  # s_k, as _eliminate forms it
         if sc == 0.0:
             raise InternalError(f"node {k!r} has no exit left when it is eliminated")
@@ -282,12 +315,13 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
     for k, out, _, (sc, se) in reversed(steps):
         h: dict = {}
         for j, (c, e) in out.items():
-            if j not in law:
+            row = law.get(j)
+            if row is None:
                 raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
             # mono_limit(mono_div(w_kj, s_k)): s_k is the pair_sum of these
             # arcs, so e >= se on every arc and no quotient diverges
             lim = c / sc if e == se else 0.0
-            for i, x in scaled_law_terms(lim, law[j], len(classes)):
+            for i, x in scaled_law_terms(lim, row, nclasses):
                 h[i] = h.get(i, 0.0) + x
         law[k] = h
     return law

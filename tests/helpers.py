@@ -293,7 +293,7 @@ def check_incremental_ladder(chain) -> int:
             return built
         lead = {u: hierarchy._leading_order(row) for u, row in level.aggregated.items()}
         assert level._lead == lead
-        support = hierarchy._level_support(lead, level.nodes, alpha, leaving)
+        support = hierarchy._level_support(level.aggregated, lead, level.nodes, alpha, leaving)
         full = classify({u: support[u] for u in level.nodes})
         try:
             level = build_level(level, alpha, chain)

@@ -191,7 +191,8 @@ def test_surviving_diagonal_rule_agrees_across_callers_at_the_tolerance(mass0, l
     assert chain.leaving == ({"a", "b"} if leaves else {"b"})
     assert ("a" in sub_unit_skeleton(chain)["a"]) is not leaves
     assert ("a" in support_graph(rows)["a"]) is not leaves
-    support = _level_support(hierarchy._leads(base), base.nodes, F(0), {(s,) for s in chain.leaving})
+    support = _level_support(base.aggregated, hierarchy._leads(base), base.nodes, F(0),
+                             {(s,) for s in chain.leaving})
     assert (("a",) in support[("a",)]) is not leaves
     assert model.classes == [("a", "b"), ("c",)]
     assert model.levels[1].period[("a", "b")] == (2 if leaves else 1)
@@ -271,11 +272,16 @@ CHAIN_FIXTURES = ("eightstate.json", "eightstate_primes.json", "funnel_delayed.j
                   "twostate_swap.json", "twostate_unit.json")
 
 
+def _row_bits(row: dict) -> list:
+    return [(v, m.coeff.hex(), m.exp) for v, m in row.items()]
+
+
 def test_analyze_matches_the_frozen_reference_ladder():
-    # the reference restricts and rebuilds every row at every level and walks
-    # every level for every state of M; analyze shares the rows a level
-    # leaves alone and multiplies M level by level, so it must agree bit for
-    # bit
+    # the reference restricts and rebuilds every row at every level, runs
+    # every class through the kernel and walks every level for every state
+    # of M; analyze shares the rows a level leaves alone, gives one-node
+    # classes their measure row directly, copies a level that merges nothing
+    # and multiplies M level by level, so it must agree bit for bit
     rng = np.random.default_rng(61)
     chains = [load_chain(fixture(name)) for name in CHAIN_FIXTURES]
     chains += [random_chain(rng, max_states=7) for _ in range(400)]
@@ -284,12 +290,22 @@ def test_analyze_matches_the_frozen_reference_ladder():
     chains += [random_periodic_chain(rng) for _ in range(300)]
     # M columns that are products of three or four measure coefficients
     chains += [random_nested_chain(rng, depth) for depth in (3, 4) for _ in range(25)]
+    # benchmark scale: ladder level 2 (alpha 1/5) merges nothing and only
+    # turns the feeders transient
+    chains += [_chain_of(job) for name in ("ladder", "dense_classes", "game_verify")
+               for seed in (11, 2027) for job in bench_jobs(name, seed)[:4]]
     kept = remapped = split_rows = 0
     for chain in chains:
         model, ref = analyze(chain), frozen_analyze(chain)
         assert json.dumps(report(model)) == json.dumps(report(ref))
         for got, want in ((model.mu, ref.mu), (model.A, ref.A), (model.M, ref.M)):
             assert np.array_equal(got, want)
+        assert len(model.levels) == len(ref.levels)
+        for lev, want in zip(model.levels, ref.levels):
+            assert lev.nodes == want.nodes and lev.parent == want.parent and lev.period == want.period
+            for table, plain in ((lev.measures, want.measures), (lev.aggregated, want.aggregated)):
+                assert list(table) == list(plain)
+                assert all(_row_bits(table[u]) == _row_bits(row) for u, row in plain.items())
         # ref's entrance index is derived from its dense mu with numpy
         assert np.array_equal(model.entry, ref.entry) and np.array_equal(model.split, ref.split)
         split_rows += len(model.split)
@@ -302,6 +318,27 @@ def test_analyze_matches_the_frozen_reference_ladder():
     assert kept >= 200 and remapped >= 50
     # rows whose entrance law splits over two or more classes
     assert split_rows >= 100
+
+
+def test_a_class_measure_reads_only_the_arcs_up_to_its_threshold():
+    # the six states end in one class of six nodes; some arcs between them
+    # lie above the threshold at which it forms.  Handed to the kernel, such
+    # arcs change the order in which tied terms are summed, and two of the
+    # class's measure coefficients move by one ulp against the reference
+    exps = {"0": F(0), "1/3": F(1, 3), "1/2": F(1, 2), "1": F(1), "3/2": F(3, 2)}
+    arcs = [("s0", "s4", 0.7, "1/2"), ("s0", "s3", 0.2, "0"), ("s0", "s5", 1.3, "1/2"),
+            ("s0", "s1", 0.15, "3/2"), ("s0", "s2", 0.3, "0"), ("s1", "s5", 1.3, "1"),
+            ("s1", "s0", 0.15, "1/3"), ("s2", "s0", 1.3, "1"), ("s2", "s1", 0.3, "1/3"),
+            ("s2", "s5", 0.7, "1/3"), ("s2", "s4", 0.1, "1/3"), ("s3", "s1", 1.3, "1/3"),
+            ("s4", "s5", 1.3, "1/2"), ("s5", "s1", 0.7, "1"), ("s5", "s0", 0.7, "3/2"),
+            ("s5", "s2", 0.1, "1/2")]
+    chain = chain_from_entries([f"s{i}" for i in range(6)],
+                               {(a, b): monomial(c, exps[e]) for a, b, c, e in arcs})
+    model, ref = analyze(chain), frozen_analyze(chain)
+    assert any(len(node) == 6 for lev in model.levels for node in lev.recurrent_nodes)
+    assert json.dumps(report(model)) == json.dumps(report(ref))
+    for lev, want in zip(model.levels, ref.levels):
+        assert all(_row_bits(lev.measures[u]) == _row_bits(row) for u, row in want.measures.items())
 
 
 # ------------------------------------------------ incremental classification
@@ -371,8 +408,8 @@ def test_classify_sees_only_the_nodes_a_changed_node_reaches(monkeypatch):
             changed = set(prev.nodes)
         else:
             created = {u for u in prev.recurrent_nodes if len(prev.measures[u]) > 1}
-            changed = created | {u for u in prev.nodes if prev.alpha < leads[u][0] <= lev.alpha}
-        support = hierarchy._level_support(leads, prev.nodes, lev.alpha, leaving)
+            changed = created | {u for u in prev.nodes if prev.alpha < leads[u] <= lev.alpha}
+        support = hierarchy._level_support(prev.aggregated, leads, prev.nodes, lev.alpha, leaving)
         reached, todo = set(), list(changed)
         while todo:
             u = todo.pop()
@@ -384,6 +421,24 @@ def test_classify_sees_only_the_nodes_a_changed_node_reaches(monkeypatch):
     # 96 states: 64 in 4-cycles and 32 feeders, over five levels
     assert [len(nodes) for nodes in seen] == [96, 48, 16, 8, 4]
     assert sum(map(len, seen)) < sum(len(lev.nodes) for lev in model.levels[:-1])
+
+
+def test_a_level_that_merges_nothing_keeps_the_previous_rows_and_order():
+    # rows are read-only, so a level hands on the row objects it leaves
+    # unchanged: at a level where no class of two or more nodes forms, no
+    # target merged, so that is every aggregated row, in the previous order
+    chains = [load_chain(fixture(name)) for name in CHAIN_FIXTURES]
+    chains.append(_chain_of(bench_jobs("ladder", 11)[0]))
+    copied = 0
+    for chain in chains:
+        levels = analyze(chain).levels
+        for prev, lev in zip(levels, levels[1:]):
+            if all(len(lev.measures._rows[u]) == 1 for u in lev.recurrent_nodes):
+                assert lev.nodes == prev.nodes
+                assert all(lev.aggregated._rows[u] is prev.aggregated._rows[u] for u in lev.nodes)
+                copied += 1
+    # the ladder's level 2 is one of the levels that merge nothing
+    assert copied >= 9
 
 
 def test_levels_read_in_every_way_have_fraction_exponents():
@@ -450,7 +505,9 @@ def test_a_failing_invariant_measure_names_its_level_and_class(monkeypatch):
         raise InternalError("no invariant measure")
 
     monkeypatch.setattr(hierarchy, "invariant_measure", broken)
-    with pytest.raises(InternalError, match=r"level 1, class 1: no invariant measure"):
+    # one-node classes get their measure without the kernel, so the first
+    # call is for eightstate's first class of two nodes
+    with pytest.raises(InternalError, match=r"level 1, class \{7,8\}: no invariant measure"):
         analyze(load_chain(fixture("eightstate.json")))
 
 
