@@ -48,7 +48,8 @@ class PerturbedChain:
     tick_rows: dict[str, dict[str, Monomial]] = field(repr=False)
     scale: TickScale = field(repr=False)
     leaving: frozenset[str]
-    index: dict[str, int] = field(default_factory=dict, repr=False)
+    #: state -> its position in `states`
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.states)}

@@ -206,7 +206,10 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     whose kernel keeps those between members in its one working copy.  A
     node that stays itself (a one-node class or a transient) keeps the
     previous level's row object, and its leading order, when none of its
-    targets merged; every other row is built anew.  So a level at which no
+    targets merged.  Every other row is built anew by one fold, with its
+    leading order the least exponent folded in: a class of two or more
+    nodes folds its members' rows weighted by its measure, and a node that
+    stays itself folds its own row weighted by ONE.  So a level at which no
     class of two or more nodes forms keeps the previous node order and
     every row object.  Rows are never mutated once built, so levels may
     share them."""
@@ -275,50 +278,36 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     for t in transient_nodes:  # after the class members, as classify lists them
         parent[t] = t
 
-    # rows of (coeff, exp) pairs, summed with the steps of mono_add and
-    # mono_mul written out inline
+    # one fold builds every row that is not kept as it is: a class of two or
+    # more nodes weighs its members' rows by its measure, a node that stays
+    # itself (a one-node class or a transient) its own row by ONE, which
+    # leaves every bit (1.0 * c == c, 0 + e == e); rows hold no self-arcs,
+    # so only a class's arcs between members are dropped.  The steps of
+    # mono_add and mono_mul are written out inline on (coeff, exp) pairs
     agg: dict[Node, dict[Node, tuple]] = {}
     new_lead: dict[Node, Exponent] = {}
     for u in new_nodes:
-        cls = merged.get(u)
-        if cls is not None:
-            pi = measures[u]
-            acc = {}
-            emin = INF  # the least exponent folded in is the row's leading order
-            for z in cls:
-                pc, pe = pi[z]
-                for v, (c, e) in Q[z].items():
-                    tgt = parent[v]
-                    if tgt != u:
-                        # acc[tgt] = mono_add(acc[tgt], mono_mul(pi_z, m))
-                        c, e = pc * c, pe + e
-                        oc, oe = acc.get(tgt, ZERO)
-                        if e < oe:
-                            acc[tgt] = (c, e)
-                            if e < emin:
-                                emin = e
-                        elif e == oe:
-                            acc[tgt] = (oc + c, oe)
-            new_lead[u] = emin
-        else:
-            # renaming and folding keep the row's leading order
+        if u not in merged and moved.isdisjoint(Q[u]):
+            agg[u] = Q[u]  # no target merged: the row and its leading order stay
             new_lead[u] = lead[u]
-            row = Q[u]
-            if moved.isdisjoint(row):
-                acc = row
-            else:
-                acc = {parent[v]: m for v, m in row.items()}
-                if len(acc) < len(row):  # two targets merged into one node
-                    acc = {}
-                    for v, m in row.items():
-                        tgt = parent[v]
-                        # acc[tgt] = mono_add(acc[tgt], m)
-                        oc, oe = acc.get(tgt, ZERO)
-                        if m[1] < oe:
-                            acc[tgt] = m
-                        elif m[1] == oe:
-                            acc[tgt] = (oc + m[0], oe)
+            continue
+        acc = {}
+        emin = INF  # the least exponent folded in is the row's leading order
+        for z, (pc, pe) in (measures[u] if u in merged else {u: ONE}).items():
+            for v, (c, e) in Q[z].items():
+                tgt = parent[v]
+                if tgt != u:
+                    # acc[tgt] = mono_add(acc[tgt], mono_mul(pi_z, m))
+                    c, e = pc * c, pe + e
+                    oc, oe = acc.get(tgt, ZERO)
+                    if e < oe:
+                        acc[tgt] = (c, e)
+                        if e < emin:
+                            emin = e
+                    elif e == oe:
+                        acc[tgt] = (oc + c, oe)
         agg[u] = acc
+        new_lead[u] = emin
 
     return HierarchyLevel(
         index=previous.index + 1,
@@ -336,7 +325,12 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
 
 
 def analyze(chain: PerturbedChain) -> LimitModel:
-    """Run the aggregation ladder to termination and assemble mu, A, M, N."""
+    """Run the aggregation ladder to termination and assemble mu, A, M, N.
+
+    The ladder builds at most 2n - 2 levels on an n-state chain: the count
+    of nodes plus recurrent nodes, 2n at level 0 and at least 2 on any
+    level, falls at every level, because the node at the threshold either
+    joins a class of two or more nodes or turns transient."""
     scale = chain.scale
     D = scale.D
     frac = scale.fraction
@@ -354,8 +348,7 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     levels = [base]
     current = base
     alphas: list[int] = []
-    ticks = {m.exp for row in chain.tick_rows.values() for m in row.values()}
-    guard = chain.n_states * max(1, len(ticks)) + 1
+    guard = 2 * chain.n_states  # covers 2n - 2 levels and the step that ends the ladder
     terminal = None
     for _ in range(guard):
         alpha = next_threshold(current)
@@ -570,18 +563,25 @@ def parse_report(source) -> dict:
             raise InputError(f"report 'levels'[{i}] has a malformed 'classes', 'transient' "
                              "or 'measures'")
     nclasses = len(doc["classes"])
-    for key, rows, cols in (("mu", None, nclasses), ("A", nclasses, nclasses), ("M", nclasses, None)):
-        mat = doc[key]
-        if not isinstance(mat, list) or (rows is not None and len(mat) != rows):
-            raise InputError(f"report {key!r} has the wrong shape")
-        for r in mat:
-            if not isinstance(r, list) or (cols is not None and len(r) != cols):
-                raise InputError(f"report {key!r} has the wrong shape")
-            for x in r:
-                if not _finite_number(x):
-                    raise InputError(f"report {key!r} holds {x!r}, which is not a finite number")
+    _check_report_matrix(doc, "mu", None, nclasses)
+    _check_report_matrix(doc, "A", nclasses, nclasses)
+    _check_report_matrix(doc, "M", nclasses, len(doc["mu"]))
     _check_report_levels(doc)
     return doc
+
+
+def _check_report_matrix(doc: dict, key: str, rows: int | None, cols: int) -> None:
+    """The report's matrix `key` is a list of `rows` rows (any number for
+    None), each a list of `cols` finite numbers."""
+    mat = doc[key]
+    if not isinstance(mat, list) or (rows is not None and len(mat) != rows):
+        raise InputError(f"report {key!r} has the wrong shape")
+    for r in mat:
+        if not isinstance(r, list) or len(r) != cols:
+            raise InputError(f"report {key!r} has the wrong shape")
+        for x in r:
+            if not _finite_number(x):
+                raise InputError(f"report {key!r} holds {x!r}, which is not a finite number")
 
 
 def _check_report_levels(doc: dict) -> None:

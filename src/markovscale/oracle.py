@@ -58,11 +58,19 @@ def _check_rows(Q: np.ndarray, what: str, steps: int = 0, mass: float = 1.0) -> 
         raise InternalError(f"{what}: rows deviate from {mass:g} by {err:g}")
 
 
+def _horizon(quotient: float, rounding) -> int:
+    """A step count, rounding(quotient); a quotient that overflowed a float
+    is past the power cap."""
+    if quotient == math.inf:
+        raise ResourceError("horizon inf exceeds the power cap 2^62")
+    return rounding(quotient)
+
+
 def _power(Q: np.ndarray, t: float, lam: float, extra: int = 0) -> tuple[int, np.ndarray]:
     """floor(t/lam) and Q to that power, shared by position and occupation."""
     if not math.isfinite(t) or t < 0:
         raise InputError(f"t must be a finite number >= 0, got {t!r}")
-    steps = math.floor(t / lam)
+    steps = _horizon(t / lam, math.floor)
     if steps + extra > MAX_POWER_STEPS:
         raise ResourceError(f"horizon {steps} exceeds the power cap 2^62")
     return steps, np.linalg.matrix_power(Q, steps)
@@ -76,7 +84,7 @@ def _resolvent(Q: np.ndarray, lam: float) -> np.ndarray:
         R = np.linalg.solve(np.eye(len(Q)) - (1.0 - lam) * Q, lam * np.eye(len(Q)))
     except np.linalg.LinAlgError:
         raise InternalError("resolvent system is singular") from None
-    _check_rows(R, "discounted resolvent", steps=math.ceil(1.0 / lam))
+    _check_rows(R, "discounted resolvent", steps=_horizon(1.0 / lam, math.ceil))
     return R
 
 
@@ -95,7 +103,7 @@ def _partial(R: np.ndarray, Qs: np.ndarray, lam: float, steps: int) -> np.ndarra
     """R - (1-lam)^steps R Q^steps, exact because R commutes with Q."""
     decay = (1.0 - lam) ** steps
     D = R - decay * (R @ Qs)
-    _check_rows(D, "discounted partial sum", steps=steps + math.ceil(1.0 / lam), mass=1.0 - decay)
+    _check_rows(D, "discounted partial sum", steps=steps + _horizon(1.0 / lam, math.ceil), mass=1.0 - decay)
     return D
 
 

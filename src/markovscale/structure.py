@@ -216,16 +216,15 @@ def invariant_measure(matrix: dict, cls) -> dict:
     one copy of them.
 
     Returns {member: Monomial} in member order; the mono_add-fold of the
-    values is (1, 0).  A one-node class gets {u: ONE} without elimination.
-    The aggregation ladder gives its one-node classes that row itself and
-    calls this for classes of two or more nodes only.
+    values is (1, 0).  A one-node class eliminates nothing and comes out as
+    {u: Monomial(1.0, 0)}, int exponent and all; the aggregation ladder
+    gives its one-node classes {u: ONE} itself and calls this for classes
+    of two or more nodes only.
     """
     members = list(cls)
     if not members:
         raise InternalError("empty class")
     root = members[0]
-    if len(members) == 1:
-        return {root: ONE}
     rows = {u: matrix.get(u, {}) for u in members}
     pi = {root: ONE}
     for k, _, pred, (sc, se) in reversed(_eliminate(rows, members[1:], rows)):

@@ -73,18 +73,24 @@ def fixture(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def bench_module(name: str):
+    """The benchmark's module bench/<name>.py, loaded by file path (the
+    benchmark directory is no package)."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 def bench_jobs(workload: str, seed: int, tiny: bool = False) -> list:
     """The jobs of a benchmark workload (bench/workloads.py), `tiny` ones
     for the two small jobs the benchmark's own tests run."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-        return module.make_inputs(workload, seed, tiny)
-    finally:
-        del sys.modules[spec.name]
+    return bench_module("workloads").make_inputs(workload, seed, tiny)
 
 
 def mono_close(a, b, rtol: float = COEFF_RTOL) -> bool:

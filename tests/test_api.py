@@ -1,6 +1,8 @@
 """The package namespace is the API that the README's Library section documents,
-and every command line in the README's Command line block parses."""
+every command line in the README's Command line block parses, and the
+package imports no name it does not use."""
 
+import ast
 import dataclasses
 import importlib
 import os
@@ -14,6 +16,8 @@ import pytest
 
 import markovscale
 from markovscale.cli import _build_parser
+
+from helpers import bench_module
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -99,3 +103,38 @@ def test_importing_the_package_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """The names a module imports and neither reads nor lists in `__all__`
+    (`from __future__` imports aside).  A read is any `Name` node, the base
+    of an attribute access included."""
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in imported.items() if name not in read | exported]
+
+
+def test_every_name_the_package_imports_is_used():
+    # the project runs no linter, so this is its dead-import check.  The only
+    # exemptions are the names the benchmark's span tracer rebinds to count
+    # calls (MONO_OPS in bench/spans.py): no code reads them
+    rebound = set(bench_module("spans").MONO_OPS)
+    package = Path(markovscale.__file__).resolve().parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for name, line in _unused_imports(ast.parse(path.read_text())):
+            if (path.stem, name) not in rebound:
+                unused.append(f"{path.name}:{line} {name}")
+    assert unused == []

@@ -11,6 +11,7 @@ from markovscale import (
     ChainFormatError,
     InputError,
     Monomial,
+    PerturbedChain,
     analyze,
     chain_from_entries,
     dump_chain,
@@ -151,6 +152,18 @@ def test_chains_built_from_one_document_are_equal():
     # a scale is its common denominator
     assert TickScale([2, 3]) == TickScale([6]) and hash(TickScale([2, 3])) == hash(TickScale([6]))
     assert TickScale([2]) != TickScale([3])
+
+
+def test_a_chain_derives_its_state_index():
+    # `index` is no constructor argument: a chain cannot be handed one that
+    # disagrees with its states
+    eight = load_chain(fixture("eightstate.json"))
+    parts = dict(states=eight.states, tick_rows=eight.tick_rows, scale=eight.scale, leaving=eight.leaving)
+    with pytest.raises(TypeError):
+        PerturbedChain(**parts, index={"x": 99})
+    for chain in (eight, PerturbedChain(**parts)):
+        assert chain.index == {s: i for i, s in enumerate(eight.states)}
+    assert PerturbedChain(**parts) == eight
 
 
 def test_load_accepts_dict_and_round_trips_through_dump():

@@ -75,6 +75,18 @@ def test_resource_limit_exits_two(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", _ring13(tmp_path), "--t", "1", "--lambdas", "1e-19")
     assert rc == 2
     assert "power cap" in err
+    # t / lambda overflows a float: the same one line, no traceback
+    doc = {"states": ["a", "b"],
+           "transitions": [{"from": "a", "to": "b", "coeff": 0.5, "exp": "0"},
+                           {"from": "b", "to": "a", "coeff": 0.5, "exp": "0"}]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    for t, lam in (("1e300", "1e-10"), ("1", "5e-324")):
+        rc, out, err = run(capsys, "verify", str(path), "--t", t, "--lambdas", lam)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("internal error: ") and err.count("\n") == 1
+        assert "power cap" in err
 
 
 def test_running_out_of_memory_prints_one_internal_error_line(capsys, monkeypatch):

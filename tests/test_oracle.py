@@ -251,6 +251,17 @@ def test_power_cap_guards_absurd_horizons():
     assert MAX_POWER_STEPS == 2**62
     with pytest.raises(ResourceError, match="cap"):
         matrix_power_position(np.eye(2), 1.0, 1e-19, 1)
+    # a step count t / lam or 1 / lam that overflows a float is past the cap
+    # too, not a bare OverflowError
+    # (at lam = 5e-324, 1 - lam == 1.0, so the resolvent of the identity is
+    # singular; half the identity keeps it solvable)
+    for t, lam, Q in ((1e300, 1e-10, np.eye(2)), (1.0, 5e-324, 0.5 * np.eye(2))):
+        with pytest.raises(ResourceError, match="power cap"):
+            matrix_power_position(Q, t, lam, 1)
+        with pytest.raises(ResourceError, match="power cap"):
+            discounted_sum(Q, lam, t=t)
+    with pytest.raises(ResourceError, match="power cap"):
+        discounted_sum(0.5 * np.eye(2), 5e-324, total=True)
 
 
 def test_power_position_matches_the_plain_loop_for_every_small_count():
