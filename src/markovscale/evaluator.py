@@ -105,9 +105,11 @@ def expm(A: np.ndarray) -> np.ndarray:
 HORIZON_ROW_TOL = 1e-6
 
 
-def _finite_horizon(t: float) -> None:
-    if not math.isfinite(t):
-        raise InputError(f"t must be a finite number, got {t!r}")
+def read_horizon(t: float, positive: bool = False) -> float:
+    """The horizon rule: t is a finite number >= 0 (> 0 if `positive`), returned as is."""
+    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
+        raise InputError(f"t must be a finite number {'>' if positive else '>='} 0, got {t!r}")
+    return t
 
 
 def _check_horizon_rows(X: np.ndarray, want: float, t: float) -> None:
@@ -155,9 +157,7 @@ def position(model: LimitModel, t: float | None = None, fraction: float | None =
         if not 0.0 <= fraction < 1.0:
             raise InputError(f"fraction must lie in [0, 1), got {fraction!r}")
         t = -math.log1p(-fraction)
-    _finite_horizon(t)
-    if t < 0:
-        raise InputError(f"t must be >= 0, got {t!r}")
+    read_horizon(t)
     E = expm(model.A * t)
     _check_horizon_rows(E, 1.0, t)
     return _through_entrance_law(model, E @ model.M)
@@ -186,9 +186,7 @@ def occupation(model: LimitModel, t: float | None = None, total: bool = False) -
             raise InternalError("Id - A is singular") from None
         # on the c x c system, then M: c right-hand sides instead of n
         return OccupationResult(matrix=_through_entrance_law(model, R @ model.M), horizon=None)
-    _finite_horizon(t)
-    if t <= 0:
-        raise InputError(f"occupation horizon must be > 0, got {t!r}")
+    read_horizon(t, positive=True)
     B = model.A - eye
     E = expm(B * t)
     try:
@@ -279,9 +277,7 @@ def absorbing_closed_form(chain: PerturbedChain, t: float) -> np.ndarray:
 def critical_closed_form(chain: PerturbedChain, t: float) -> np.ndarray:
     """Limit position matrix exp(A t) of a critical chain (all entry exponents
     >= 1; A collects the coefficients of the exponent-1 entries)."""
-    _finite_horizon(t)
-    if t < 0:
-        raise InputError(f"t must be >= 0, got {t!r}")
+    read_horizon(t)
     n = chain.n_states
     A = np.zeros((n, n))
     for (src, dst), m in chain.entries.items():

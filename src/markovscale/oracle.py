@@ -11,13 +11,15 @@ import numpy as np
 
 from .chain_model import PerturbedChain
 from .errors import InputError, InternalError, ResourceError
-from .evaluator import occupation, out_of_memory, position
+from .evaluator import occupation, out_of_memory, position, read_horizon
 from .hierarchy import LimitModel
 
-#: refuse matrix powers beyond this many steps
-MAX_POWER_STEPS = 2**62
-
 _ROW_SUM_TOL = 1e-9
+#: per step: a power amplifies the rounding defect of Q's rows linearly
+_STEP_TOL = 8.0 * np.finfo(float).eps
+#: the largest step count k with _ROW_SUM_TOL + _STEP_TOL * k < 1 (about 2^49):
+#: one step more, and the row check's tolerance reaches 1, so it cannot fail
+MAX_POWER_STEPS = math.ceil((1.0 - _ROW_SUM_TOL) / _STEP_TOL) - 1
 
 
 def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
@@ -49,42 +51,43 @@ def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
 
 
 def _check_rows(Q: np.ndarray, what: str, steps: int = 0, mass: float = 1.0) -> None:
-    # the instantiated matrix is stochastic only to machine precision, and a
-    # power amplifies that defect linearly in the exponent, so the sanity
-    # tolerance has to grow with the horizon (no renormalization is applied)
-    tol = _ROW_SUM_TOL + 8.0 * np.finfo(float).eps * steps
+    """The rows of Q sum to `mass` within _ROW_SUM_TOL + _STEP_TOL * steps, no
+    renormalization applied; steps passed _horizon, so the tolerance is < 1."""
+    tol = _ROW_SUM_TOL + _STEP_TOL * steps
     err = np.abs(Q.sum(axis=1) - mass).max()
     if err > tol:
         raise InternalError(f"{what}: rows deviate from {mass:g} by {err:g}")
 
 
-def _horizon(quotient: float, rounding) -> int:
-    """A step count, rounding(quotient); a quotient that overflowed a float
-    is past the power cap."""
-    if quotient == math.inf:
-        raise ResourceError("horizon inf exceeds the power cap 2^62")
-    return rounding(quotient)
+def _horizon(count: float, extra: int = 0) -> int:
+    """int(count), once count + extra (the most steps a row check allows for)
+    is at most MAX_POWER_STEPS; a NaN count or one that overflowed fails too."""
+    if not count + extra <= MAX_POWER_STEPS:
+        raise ResourceError(f"horizon of {count + extra:.15g} steps exceeds the power cap {MAX_POWER_STEPS}")
+    return int(count)
 
 
-def _power(Q: np.ndarray, t: float, lam: float, extra: int = 0) -> tuple[int, np.ndarray]:
-    """floor(t/lam) and Q to that power, shared by position and occupation."""
-    if not math.isfinite(t) or t < 0:
-        raise InputError(f"t must be a finite number >= 0, got {t!r}")
-    steps = _horizon(t / lam, math.floor)
-    if steps + extra > MAX_POWER_STEPS:
-        raise ResourceError(f"horizon {steps} exceeds the power cap 2^62")
+def _power(Q: np.ndarray, t: float, lam: float, extra: int) -> tuple[int, np.ndarray]:
+    """floor(t/lam) and Q to that power, once floor(t/lam) + extra is within the cap."""
+    steps = _horizon(np.floor(read_horizon(t) / lam), extra)
     return steps, np.linalg.matrix_power(Q, steps)
+
+
+def _resolvent_steps(lam: float) -> int:
+    """ceil(1/lam), the steps the resolvent's row checks allow for."""
+    if not 0.0 < lam < 1.0:
+        raise InputError(f"lambda must lie in (0, 1), got {lam!r}")
+    return _horizon(np.ceil(1.0 / lam))
 
 
 def _resolvent(Q: np.ndarray, lam: float) -> np.ndarray:
     """lam * (Id - (1-lam) Q)^-1 by one LU solve, conditioned like 1/lam."""
-    if not 0.0 < lam < 1.0:
-        raise InputError(f"lambda must lie in (0, 1), got {lam!r}")
+    steps = _resolvent_steps(lam)
     try:
         R = np.linalg.solve(np.eye(len(Q)) - (1.0 - lam) * Q, lam * np.eye(len(Q)))
     except np.linalg.LinAlgError:
         raise InternalError("resolvent system is singular") from None
-    _check_rows(R, "discounted resolvent", steps=_horizon(1.0 / lam, math.ceil))
+    _check_rows(R, "discounted resolvent", steps=steps)
     return R
 
 
@@ -103,17 +106,17 @@ def _partial(R: np.ndarray, Qs: np.ndarray, lam: float, steps: int) -> np.ndarra
     """R - (1-lam)^steps R Q^steps, exact because R commutes with Q."""
     decay = (1.0 - lam) ** steps
     D = R - decay * (R @ Qs)
-    _check_rows(D, "discounted partial sum", steps=steps + _horizon(1.0 / lam, math.ceil), mass=1.0 - decay)
+    _check_rows(D, "discounted partial sum", steps=steps + _resolvent_steps(lam), mass=1.0 - decay)
     return D
 
 
 def matrix_power_position(Q: np.ndarray, t: float, lam: float, n_avg: int) -> np.ndarray:
     """Skeleton-averaged position at discrete time floor(t/lam): the mean of
     Q^(floor(t/lam)+r) over r = 1..n_avg."""
-    if lam <= 0:
-        raise InputError(f"lambda must be > 0, got {lam!r}")
-    if n_avg < 1:
-        raise InputError(f"averaging period must be >= 1, got {n_avg!r}")
+    if not 0.0 < lam < math.inf:
+        raise InputError(f"lambda must be a finite number > 0, got {lam!r}")
+    if type(n_avg) is bool or not isinstance(n_avg, (int, np.integer)) or n_avg < 1:
+        raise InputError(f"averaging period must be an integer >= 1, got {n_avg!r}")
     steps, Qs = _power(Q, t, lam, n_avg)
     return _averaged(Q, Qs, steps, n_avg)
 
@@ -124,11 +127,10 @@ def discounted_sum(Q: np.ndarray, lam: float, t: float | None = None, total: boo
     lam * (Id - (1-lam) Q)^-1 when total=True."""
     if total == (t is not None):
         raise InputError("give exactly one of t and total")
-    R = _resolvent(Q, lam)
     if total:
-        return R
-    steps, Qs = _power(Q, t, lam)
-    return _partial(R, Qs, lam, steps)
+        return _resolvent(Q, lam)
+    steps, Qs = _power(Q, t, lam, _resolvent_steps(lam))
+    return _partial(_resolvent(Q, lam), Qs, lam, steps)
 
 
 @dataclass
@@ -156,8 +158,9 @@ def convergence_sweep(chain: PerturbedChain, model: LimitModel, t: float, lambda
         raise InputError("need at least one lambda")
     if any(b >= a for a, b in zip(lambdas, lambdas[1:])):
         raise InputError("lambdas must be strictly decreasing")
-    if not math.isfinite(t) or t <= 0:
-        raise InputError(f"t must be a finite number > 0, got {t!r}")
+    read_horizon(t, positive=True)
+    if model.chain != chain:
+        raise InputError("the model was not analyzed from the chain given")
 
     pos_model = position(model, t=t)
     occ_model = occupation(model, t=t).matrix
@@ -167,7 +170,7 @@ def convergence_sweep(chain: PerturbedChain, model: LimitModel, t: float, lambda
     for lam in lambdas:
         # one power and one LU per lambda feed all three quantities
         Q = instantiate(chain, lam)
-        steps, Qs = _power(Q, t, lam, model.N)
+        steps, Qs = _power(Q, t, lam, max(model.N, _resolvent_steps(lam)))
         R = _resolvent(Q, lam)
         entries.append({
             "lambda": lam,

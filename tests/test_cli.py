@@ -71,7 +71,7 @@ def _ring13(tmp_path) -> str:
 
 
 def test_resource_limit_exits_two(capsys, tmp_path):
-    # t / lambda = 1e19 steps is past the oracle's 2^62 power cap
+    # t / lambda = 1e19 steps is past the oracle's power cap of about 2^49
     rc, _, err = run(capsys, "verify", _ring13(tmp_path), "--t", "1", "--lambdas", "1e-19")
     assert rc == 2
     assert "power cap" in err
@@ -81,7 +81,9 @@ def test_resource_limit_exits_two(capsys, tmp_path):
                            {"from": "b", "to": "a", "coeff": 0.5, "exp": "0"}]}
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
-    for t, lam in (("1e300", "1e-10"), ("1", "5e-324")):
+    # and 1 / lam = 1e17 steps is past the cap, where 1 - lam == 1.0 would
+    # make the resolvent system singular
+    for t, lam in (("1e300", "1e-10"), ("1", "5e-324"), ("1", "1e-17")):
         rc, out, err = run(capsys, "verify", str(path), "--t", t, "--lambdas", lam)
         assert rc == 2
         assert out == ""

@@ -17,7 +17,13 @@ from markovscale import (
     position,
 )
 from markovscale import evaluator
-from markovscale.evaluator import HORIZON_ROW_TOL, expm, pade_degree_and_scaling, payoff_vector
+from markovscale.evaluator import (
+    HORIZON_ROW_TOL,
+    expm,
+    pade_degree_and_scaling,
+    payoff_vector,
+    read_horizon,
+)
 
 from helpers import (
     CHAIN_FIXTURES,
@@ -190,6 +196,22 @@ def test_horizon_rule_checks_the_class_level_rows(twostate, monkeypatch):
     monkeypatch.setattr(evaluator, "expm", lambda A: exact(A) * (1.0 + HORIZON_ROW_TOL / 4))
     position(twostate, t=1.0)
     occupation(twostate, t=1.0)
+
+
+def test_one_horizon_rule_words_every_refusal_of_t(twostate):
+    # position and critical_closed_form take t >= 0, occupation t > 0; each
+    # refuses with the one message of read_horizon, before any arithmetic
+    chain = load_chain(fixture("twostate_unit.json"))
+    at_least = (lambda t: position(twostate, t=t), lambda t: critical_closed_form(chain, t))
+    for t in (-1.0, -math.inf, math.inf, math.nan):
+        for f in at_least:
+            with pytest.raises(InputError, match=rf"^t must be a finite number >= 0, got {t!r}$"):
+                f(t)
+    for t in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match=rf"^t must be a finite number > 0, got {t!r}$"):
+            occupation(twostate, t=t)
+    assert read_horizon(0.0) == 0.0 and read_horizon(2, positive=True) == 2
+    assert position(twostate, t=0.0).shape == (2, 2)
 
 
 def test_two_state_position_matches_the_scalar_solution(twostate):

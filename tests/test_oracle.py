@@ -248,20 +248,124 @@ def test_row_sums_survive_deep_horizons():
 
 
 def test_power_cap_guards_absurd_horizons():
-    assert MAX_POWER_STEPS == 2**62
+    assert MAX_POWER_STEPS == 562_949_952_858_362
     with pytest.raises(ResourceError, match="cap"):
         matrix_power_position(np.eye(2), 1.0, 1e-19, 1)
     # a step count t / lam or 1 / lam that overflows a float is past the cap
-    # too, not a bare OverflowError
-    # (at lam = 5e-324, 1 - lam == 1.0, so the resolvent of the identity is
-    # singular; half the identity keeps it solvable)
-    for t, lam, Q in ((1e300, 1e-10, np.eye(2)), (1.0, 5e-324, 0.5 * np.eye(2))):
+    # too, not a bare OverflowError; the identity is refused before its
+    # resolvent, which 1 - lam == 1.0 would make singular, is solved
+    for t, lam in ((1e300, 1e-10), (1.0, 5e-324)):
         with pytest.raises(ResourceError, match="power cap"):
-            matrix_power_position(Q, t, lam, 1)
+            matrix_power_position(np.eye(2), t, lam, 1)
         with pytest.raises(ResourceError, match="power cap"):
-            discounted_sum(Q, lam, t=t)
+            discounted_sum(np.eye(2), lam, t=t)
     with pytest.raises(ResourceError, match="power cap"):
-        discounted_sum(0.5 * np.eye(2), 5e-324, total=True)
+        discounted_sum(np.eye(2), 5e-324, total=True)
+
+
+def test_the_power_cap_is_the_last_count_the_row_check_can_refuse():
+    # the row check allows 1e-9 + 8 eps per step; at the cap that is still
+    # below 1, one step later it is not, and a check with tolerance >= 1 can
+    # never fail
+    eps = np.finfo(float).eps
+    assert oracle._ROW_SUM_TOL + 8.0 * eps * MAX_POWER_STEPS < 1.0
+    assert oracle._ROW_SUM_TOL + 8.0 * eps * (MAX_POWER_STEPS + 1) >= 1.0
+    assert isinstance(MAX_POWER_STEPS, int)
+
+
+def _refused_at_the_cap(count):
+    """A context that expects the power cap's ResourceError naming `count`."""
+    return pytest.raises(ResourceError, match=rf"^horizon of {count} steps exceeds the power cap {MAX_POWER_STEPS}$")
+
+
+def test_each_oracle_count_is_accepted_up_to_the_cap_and_refused_one_past_it():
+    cap, eye = MAX_POWER_STEPS, np.eye(2)
+    # lam = 1/2: t / lam is exact, and ceil(1/lam) = 2 steps of conditioning
+    # position: floor(t/lam) + n_avg
+    for n_avg in (1, 3):
+        assert np.array_equal(matrix_power_position(eye, (cap - n_avg) * 0.5, 0.5, n_avg), eye)
+        with _refused_at_the_cap(cap + 1):
+            matrix_power_position(eye, (cap - n_avg + 1) * 0.5, 0.5, n_avg)
+    # partial sum: floor(t/lam) + ceil(1/lam)
+    assert np.array_equal(discounted_sum(eye, 0.5, t=(cap - 2) * 0.5), eye)
+    with _refused_at_the_cap(cap + 1):
+        discounted_sum(eye, 0.5, t=(cap - 1) * 0.5)
+    # total: ceil(1/lam) alone
+    lam_last, lam_past = 1.0 / cap, 1.0 / (cap + 0.5)
+    assert (math.ceil(1.0 / lam_last), math.ceil(1.0 / lam_past)) == (cap, cap + 1)
+    assert np.isfinite(discounted_sum(eye, lam_last, total=True)).all()
+    with _refused_at_the_cap(cap + 1):
+        discounted_sum(eye, lam_past, total=True)
+    # sweep: floor(t/lam) + max(N, ceil(1/lam)) on a one-class chain, whose
+    # limit position and occupation stay exact at any horizon
+    chain, model = _pair_chain_and_model()
+    assert model.N == 1
+    diag = convergence_sweep(chain, model, (cap - 2) * 0.5, [0.5])
+    assert diag.final("position_err") <= 1e-15
+    with _refused_at_the_cap(cap + 1):
+        convergence_sweep(chain, model, (cap - 1) * 0.5, [0.5])
+    with _refused_at_the_cap(cap + 1):
+        convergence_sweep(chain, model, 1e-30, [0.5, lam_past])
+
+
+def _pair_chain_and_model():
+    """a <-> b at coefficient 0.5, exponent 0: one class, A = 0, every
+    lambda in (0, 1] feasible."""
+    chain = load_chain({"states": ["a", "b"],
+                        "transitions": [{"from": "a", "to": "b", "coeff": 0.5, "exp": "0"},
+                                        {"from": "b", "to": "a", "coeff": 0.5, "exp": "0"}]})
+    return chain, analyze(chain)
+
+
+def test_a_tiny_lambda_is_past_the_cap_not_a_singular_solve_or_a_blind_check():
+    # below 2^-53, 1 - lam == 1.0 and Id - (1-lam) Q is singular; far below
+    # it, 1e-9 + 8 eps / lam is far above 1 and the row check checks nothing
+    half = 0.5 * np.eye(2)  # substochastic: its rows sum to 1/2, not 1
+    for lam in (1e-17, 1e-300, 5e-324):
+        with pytest.raises(ResourceError, match="power cap"):
+            discounted_sum(half, lam, total=True)
+        with pytest.raises(ResourceError, match="power cap"):
+            discounted_sum(np.eye(2), lam, t=1.0)
+    with pytest.raises(InternalError, match="rows deviate"):
+        discounted_sum(half, 0.5, total=True)
+    chain, model = _pair_chain_and_model()
+    with pytest.raises(ResourceError, match="power cap"):
+        convergence_sweep(chain, model, 1.0, [1e-17])
+
+
+def test_every_cap_refusal_comes_before_any_matrix_work(monkeypatch):
+    chain, model = _pair_chain_and_model()
+    real_instantiate = oracle.instantiate
+    past_cap = ((1.0, 1e-17), (MAX_POWER_STEPS * 0.5, 0.5), (1e300, 1e-10))
+
+    def no_matrix_work(*args, **kwargs):
+        raise AssertionError("matrix work before the power cap check")
+
+    def forbid(mp):
+        mp.setattr(np.linalg, "matrix_power", no_matrix_work)
+        mp.setattr(np.linalg, "solve", no_matrix_work)
+
+    # the sweep's limit model needs solves of its own; forbid matrix work
+    # from the sweep's first Q_lam on
+    for t, lam in past_cap:
+        with monkeypatch.context() as mp:
+            def instantiate_then_forbid(*args, mp=mp):
+                Q = real_instantiate(*args)
+                forbid(mp)
+                return Q
+
+            mp.setattr(oracle, "instantiate", instantiate_then_forbid)
+            with pytest.raises(ResourceError, match="power cap"):
+                convergence_sweep(chain, model, t, [lam])
+    forbid(monkeypatch)
+    for t, lam in past_cap + ((1.0, 5e-324),):
+        with pytest.raises(ResourceError, match="power cap"):
+            matrix_power_position(np.eye(2), t, lam, 1)
+        with pytest.raises(ResourceError, match="power cap"):
+            discounted_sum(np.eye(2), lam, t=t)
+    for lam in (1e-17, 1.0 / (MAX_POWER_STEPS + 0.5), 5e-324):
+        with pytest.raises(ResourceError, match="power cap"):
+            discounted_sum(np.eye(2), lam, total=True)
 
 
 def test_power_position_matches_the_plain_loop_for_every_small_count():
@@ -280,6 +384,18 @@ def test_power_position_refuses_a_non_finite_t():
     for t in (math.inf, math.nan):
         with pytest.raises(InputError, match=r"^t must be a finite number >= 0"):
             matrix_power_position(np.eye(2), t, 1e-3, 1)
+    with pytest.raises(InputError, match=r"^t must be a finite number >= 0, got -1.0$"):
+        matrix_power_position(np.eye(2), -1.0, 1e-3, 1)
+
+
+def test_power_position_names_a_bad_lambda_or_averaging_period():
+    for lam in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        with pytest.raises(InputError, match=r"^lambda must be a finite number > 0, got "):
+            matrix_power_position(np.eye(2), 1.0, lam, 1)
+    for n_avg in (1.5, True, False, 0, -2, "2", None):
+        with pytest.raises(InputError, match=r"^averaging period must be an integer >= 1, got "):
+            matrix_power_position(np.eye(2), 1.0, 1e-3, n_avg)
+    assert np.array_equal(matrix_power_position(np.eye(2), 1.0, 1e-3, np.int64(2)), np.eye(2))
 
 
 # ----------------------------------------------------------- discounted sum
@@ -426,6 +542,16 @@ def test_sweep_argument_validation():
     for t in (math.inf, math.nan):
         with pytest.raises(InputError, match=r"^t must be a finite number > 0"):
             convergence_sweep(chain, model, t, [1e-3])
+
+
+def test_sweep_refuses_a_model_of_another_chain():
+    chain = load_chain(fixture("twostate_unit.json"))
+    other = analyze(load_chain(fixture("eightstate.json")))
+    with pytest.raises(InputError, match=r"^the model was not analyzed from the chain given$"):
+        convergence_sweep(chain, other, 1.0, [1e-3])
+    # an equal chain loaded again is the same chain
+    diag = convergence_sweep(load_chain(fixture("twostate_unit.json")), analyze(chain), 1.0, [1e-3])
+    assert len(diag.entries) == 1
 
 
 #: every lambda the acceptance and oracle tests sweep at; a sweep entry
