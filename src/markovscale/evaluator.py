@@ -106,10 +106,12 @@ HORIZON_ROW_TOL = 1e-6
 
 
 def read_horizon(t: float, positive: bool = False) -> float:
-    """The horizon rule: t is a finite number >= 0 (> 0 if `positive`), returned as is."""
-    if not (math.isfinite(t) and (t > 0 if positive else t >= 0)):
+    """The horizon rule: t is a real number, by `read_number`'s rule (a bool
+    is not one), finite and >= 0 (> 0 if `positive`); returned as a float."""
+    value = read_number(t, "t", error=InputError)
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         raise InputError(f"t must be a finite number {'>' if positive else '>='} 0, got {t!r}")
-    return t
+    return value
 
 
 def _check_horizon_rows(X: np.ndarray, want: float, t: float) -> None:
@@ -154,6 +156,7 @@ def position(model: LimitModel, t: float | None = None, fraction: float | None =
     if (t is None) == (fraction is None):
         raise InputError("give exactly one of t and fraction")
     if fraction is not None:
+        fraction = read_number(fraction, "fraction", error=InputError)
         if not 0.0 <= fraction < 1.0:
             raise InputError(f"fraction must lie in [0, 1), got {fraction!r}")
         t = -math.log1p(-fraction)

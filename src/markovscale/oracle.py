@@ -50,6 +50,26 @@ def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
     return Q
 
 
+def _read_stochastic(Q) -> np.ndarray:
+    """Q as a float array, once it is a square matrix whose rows hold
+    nonnegative numbers that sum to 1 within _ROW_SUM_TOL."""
+    try:
+        Q = np.asarray(Q, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError("Q must be a square matrix of numbers") from None
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise InputError(f"Q must be a square matrix, got shape {Q.shape}")
+    sums = Q.sum(axis=1)
+    negative = (Q < 0.0).any(axis=1)
+    bad = np.flatnonzero(negative | ~(np.abs(sums - 1.0) <= _ROW_SUM_TOL))  # NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        if negative[i]:
+            raise InputError(f"Q row {i} holds the negative entry {float(Q[i].min())!r}")
+        raise InputError(f"Q row {i} sums to {float(sums[i])!r}, not 1 (tolerance {_ROW_SUM_TOL:g})")
+    return Q
+
+
 def _check_rows(Q: np.ndarray, what: str, steps: int = 0, mass: float = 1.0) -> None:
     """The rows of Q sum to `mass` within _ROW_SUM_TOL + _STEP_TOL * steps, no
     renormalization applied; steps passed _horizon, so the tolerance is < 1."""
@@ -113,6 +133,7 @@ def _partial(R: np.ndarray, Qs: np.ndarray, lam: float, steps: int) -> np.ndarra
 def matrix_power_position(Q: np.ndarray, t: float, lam: float, n_avg: int) -> np.ndarray:
     """Skeleton-averaged position at discrete time floor(t/lam): the mean of
     Q^(floor(t/lam)+r) over r = 1..n_avg."""
+    Q = _read_stochastic(Q)
     if not 0.0 < lam < math.inf:
         raise InputError(f"lambda must be a finite number > 0, got {lam!r}")
     if type(n_avg) is bool or not isinstance(n_avg, (int, np.integer)) or n_avg < 1:
@@ -125,6 +146,7 @@ def discounted_sum(Q: np.ndarray, lam: float, t: float | None = None, total: boo
     """Discounted occupation at discount lambda: the partial sum
     lam * sum_{m<floor(t/lam)} ((1-lam) Q)^m, or the full resolvent
     lam * (Id - (1-lam) Q)^-1 when total=True."""
+    Q = _read_stochastic(Q)
     if total == (t is not None):
         raise InputError("give exactly one of t and total")
     if total:

@@ -1,6 +1,7 @@
 """Shared test utilities: fixture paths, random chain generators, numeric oracles."""
 
 import importlib.util
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -31,7 +32,7 @@ from markovscale.asymptotics import (
 )
 from markovscale.chain_model import leaves_exactly, read_json_file, read_number
 from markovscale.evaluator import occupation, position
-from markovscale.games import StochasticGame, load_game
+from markovscale.games import StochasticGame
 from markovscale import hierarchy
 from markovscale.hierarchy import build_level, next_threshold
 from markovscale.structure import classify
@@ -476,19 +477,23 @@ def arborescence_measure(matrix: dict, cls) -> dict:
     return {u: mono_div(values[u], total) for u in members}
 
 
+def base_level(chain, term=lambda m: m) -> HierarchyLevel:
+    """Level 0 built by hand, every state a node, with each chain entry m
+    (on `Fraction` exponents) as term(m)."""
+    nodes = [(s,) for s in chain.states]
+    agg = {n: {} for n in nodes}
+    for (src, dst), m in chain.entries.items():
+        agg[(src,)][(dst,)] = term(m)
+    return HierarchyLevel(index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes),
+                          transient_nodes=[], period={}, measures={}, aggregated=agg, parent={})
+
+
 def reference_ladder(chain) -> tuple[list, list]:
     """The aggregation ladder built step by step from
     hierarchy.next_threshold and hierarchy.build_level on the chain's Fraction
     exponents.
     Returns (levels, alphas), alphas ending with the terminal threshold."""
-    nodes = [(s,) for s in chain.states]
-    agg = {n: {} for n in nodes}
-    for (src, dst), m in chain.entries.items():
-        agg[(src,)][(dst,)] = m
-    level = HierarchyLevel(
-        index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes), transient_nodes=[],
-        period={}, measures={}, aggregated=agg, parent={},
-    )
+    level = base_level(chain)
     levels, alphas = [level], []
     while True:
         alpha = next_threshold(level)
@@ -522,11 +527,6 @@ def unpruned_row_lambda_max(row: dict) -> float:
         else:
             hi = mid
     return lo
-
-
-def absorbing_states(chain) -> list:
-    """States with no outgoing entries."""
-    return [s for s in chain.states if not chain.row(s)]
 
 
 def absorption_probabilities(Q: np.ndarray, transient_idx, absorbing_idx) -> np.ndarray:
@@ -698,11 +698,11 @@ def _frozen_eliminate(rows: dict, order) -> list[tuple]:
     return steps
 
 
-def _frozen_invariant_measure(matrix: dict, cls, one=ONE) -> dict:
+def _frozen_invariant_measure(matrix: dict, cls, unit=1.0) -> dict:
     members = list(cls)
     mset = set(members)
     rows = {u: {v: m for v, m in matrix.get(u, {}).items() if v in mset} for u in members}
-    pi = {members[0]: one}
+    pi = {members[0]: Monomial(unit, 0)}
     for k, _, pred, s_k in reversed(_frozen_eliminate(rows, members[1:])):
         pi[k] = mono_div(mono_sum(mono_mul(pi[i], w) for i, w in pred.items()), s_k)
     if any(v.is_zero() for v in pi.values()):
@@ -712,29 +712,41 @@ def _frozen_invariant_measure(matrix: dict, cls, one=ONE) -> dict:
     return {u: mono_div(pi[u], total) for u in members}
 
 
-def _frozen_entrance_law(matrix: dict, decomposition) -> dict:
+def _zeros(shape, unit):
+    """Zeros of the type of `unit`, in a float64 array for a float unit."""
+    return np.full(shape, unit - unit, dtype=float if type(unit) is float else object)
+
+
+def _limit(m: Monomial, zero):
+    """`mono_limit` for exponents >= 0, its 0.0 replaced by `zero`."""
+    return m.coeff if m.exp == 0 else zero
+
+
+def _frozen_entrance_law(matrix: dict, decomposition, unit=1.0) -> dict:
+    """Dense entrance-law rows, arrays of the type of `unit` (see `_zeros`)."""
+    zero = unit - unit
     classes = decomposition.recurrent
     law: dict = {}
     for i, cls in enumerate(classes):
         for u in cls:
-            law[u] = np.zeros(len(classes))
-            law[u][i] = 1.0
+            law[u] = _zeros(len(classes), unit)
+            law[u][i] = unit
     transient = decomposition.transient
     rows = {u: matrix.get(u, {}) for u in transient}
     tset = set(transient)
     succ = {u: [v for v in rows[u] if v in tset] for u in transient}
     order = [u for comp in reversed(structure._sccs(transient, succ)) for u in comp]
     for k, out, _, s_k in reversed(_frozen_eliminate(rows, order)):
-        h = np.zeros(len(classes))
+        h = _zeros(len(classes), unit)
         for j, w in out.items():
             if j not in law:
                 raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
-            h += mono_limit(mono_div(w, s_k)) * law[j]
+            h += _limit(mono_div(w, s_k), zero) * law[j]
         law[k] = h
     return law
 
 
-def _frozen_build_level(previous, alpha, chain, one=ONE):
+def _frozen_build_level(previous, alpha, chain, unit=1.0):
     Q = previous.aggregated
     state_order = chain.index
     decomp = _frozen_classify(_frozen_level_support(Q, previous.nodes, alpha))
@@ -748,7 +760,7 @@ def _frozen_build_level(previous, alpha, chain, one=ONE):
         new_nodes.append(node)
         recurrent_nodes.append(node)
         period[node] = decomp.period[cls]
-        measures[node] = _frozen_invariant_measure(restricted, cls, one)
+        measures[node] = _frozen_invariant_measure(restricted, cls, unit)
     for t in decomp.transient:
         parent[t] = t
         new_nodes.append(t)
@@ -776,180 +788,138 @@ def _frozen_build_level(previous, alpha, chain, one=ONE):
     )
 
 
-def exact_ladder(chain) -> tuple[list, list]:
-    """The frozen ladder (`next_threshold` and `_frozen_build_level`, every
-    step a `mono_*` call) run on the chain's `Fraction` exponents and on
-    exact `Fraction` coefficients, so that no product or quotient rounds or
-    underflows.  The unit of the measures comes from the coefficient type:
-    `ONE`'s 1.0 would turn every quotient by it back into a float.
-    Returns (levels, alphas), alphas ending with the terminal threshold."""
-    one = Monomial(Fraction(1), 0)
-    nodes = [(s,) for s in chain.states]
-    agg = {n: {} for n in nodes}
-    for (src, dst), m in chain.entries.items():
-        agg[(src,)][(dst,)] = Monomial(Fraction(m.coeff), m.exp)
-    level = HierarchyLevel(
-        index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes), transient_nodes=[],
-        period={}, measures={}, aggregated=agg, parent={},
-    )
-    levels, alphas = [level], []
-    while True:
-        alpha = next_threshold(level)
-        alphas.append(alpha)
-        if alpha >= 1:
-            return levels, alphas
-        level = _frozen_build_level(level, alpha, chain, one)
-        levels.append(level)
-
-
-def check_against_exact_ladder(chain, coeff_rtol=None) -> bool:
-    """Where `analyze` succeeds on the chain, check that every level has the
-    exact ladder's alpha, classes, transients and measure exponents, and,
-    with `coeff_rtol`, measure coefficients within that relative distance
-    of the exact ones.  Returns whether `analyze` succeeded."""
-    try:
-        model = hierarchy.analyze(chain)
-    except InternalError:
-        return False
-    levels, alphas = exact_ladder(chain)
-    assert model.alphas == alphas
-    assert len(model.levels) == len(levels)
-    for got, want in zip(model.levels[1:], levels[1:]):
-        assert got.alpha == want.alpha
-        assert got.recurrent_nodes == want.recurrent_nodes
-        assert got.transient_nodes == want.transient_nodes
-        for node, pi in want.measures.items():
-            measure = got.measures[node]
-            assert [(u, m.exp) for u, m in measure.items()] == [(u, m.exp) for u, m in pi.items()]
-            if coeff_rtol is not None:
-                for u, m in pi.items():
-                    c = measure[u].coeff
-                    assert math.isfinite(c) and abs(Fraction(c) - m.coeff) <= Fraction(coeff_rtol) * m.coeff
-    return True
-
-
-def entrance_index(mu):
-    """`LimitModel.entry` and `.split` derived from a dense mu with numpy: a
-    row whose one nonzero is 1.0 is the indicator of that column."""
-    indicator = ((mu != 0.0).sum(axis=1) == 1) & (mu.max(axis=1) == 1.0)
-    return np.where(indicator, mu.argmax(axis=1), -1), np.flatnonzero(~indicator)
-
-
-def frozen_analyze(chain) -> LimitModel:
-    """The reference ladder on int exponents, assembled into a LimitModel
-    with the same mu, A, M, N and Fraction-exponent levels as `analyze`."""
-    exps = {m.exp for m in chain.entries.values()}
-    D = math.lcm(*(e.denominator for e in exps))
-    ticks = {e: e.numerator * (D // e.denominator) for e in exps}
-    nodes = [(s,) for s in chain.states]
-    agg = {n: {} for n in nodes}
-    for (src, dst), m in chain.entries.items():
-        agg[(src,)][(dst,)] = Monomial(m.coeff, ticks[m.exp])
-    level = HierarchyLevel(
-        index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes), transient_nodes=[],
-        period={}, measures={}, aggregated=agg, parent={},
-    )
-    levels, alphas = [level], []
-    while True:
-        alpha = next_threshold(level)
-        if alpha >= D:
-            break
-        alphas.append(alpha)
-        level = _frozen_build_level(level, alpha, chain)
+def reference_analyze(chain, unit) -> LimitModel:
+    """`analyze` as a slow reference: the frozen ladder (`next_threshold` and
+    `_frozen_build_level`) on the chain's ticks, the frozen entrance law,
+    and dense mu, A and M, M by a walk over all levels for every state, all
+    on coefficients of the type of `unit`.  With 1.0 it matches `analyze`
+    bit for bit.  With `Fraction(1)` it is exact: nothing rounds or
+    underflows, and mu, A and M are object arrays of `Fraction`s.  The
+    levels are published with `Fraction` exponents, as `analyze`'s are."""
+    num, zero, one = type(unit), unit - unit, Monomial(unit, 0)
+    D = math.lcm(*(m.exp.denominator for m in chain.entries.values()))
+    level = base_level(chain, lambda m: Monomial(num(m.coeff), int(m.exp * D)))
+    levels = [level]
+    while (alpha := next_threshold(level)) < D:
+        level = _frozen_build_level(level, alpha, chain, unit)
         levels.append(level)
     classes = list(level.recurrent_nodes)
     n, nc = chain.n_states, len(classes)
     decomp = structure.ClassDecomposition(
         recurrent=[(node,) for node in classes], transient=list(level.transient_nodes), period={},
     )
-    law = _frozen_entrance_law(level.aggregated, decomp)
-    mu = np.zeros((n, nc))
+    law = _frozen_entrance_law(level.aggregated, decomp, unit)
+    mu = _zeros((n, nc), unit)
     for node in level.nodes:
         for s in node:
             mu[chain.index[s]] = law[node]
-    A = np.zeros((nc, nc))
+    A = _zeros((nc, nc), unit)
     for i, node in enumerate(classes):
         for v, m in level.aggregated[node].items():
             if m.exp == D:
                 A[i] += m.coeff * law[v]
-        A[i, i] = 0.0
+        A[i, i] = zero
         A[i, i] = -A[i].sum()
-    M = np.zeros((nc, n))
+    M = _zeros((nc, n), unit)
     for i, node in enumerate(classes):
         for s in node:
-            factor, child = ONE, (s,)
+            factor, child = one, (s,)
             for lev in levels[1:]:
                 up = lev.parent[child]
                 meas = lev.measures.get(up)
                 if meas is not None:
                     factor = mono_mul(factor, meas[child])
                 child = up
-            M[i, chain.index[s]] = mono_limit(factor)
-    def frac(t):
-        return t if t == math.inf else Fraction(t, D)
-
+            M[i, chain.index[s]] = _limit(factor, zero)
     for lev in levels:
         if lev.alpha is not None:
-            lev.alpha = frac(lev.alpha)
+            lev.alpha = Fraction(lev.alpha, D)
         for table in (lev.measures, lev.aggregated):
             for node, row in table.items():
-                table[node] = {v: Monomial(m.coeff, frac(m.exp)) for v, m in row.items()}
-    entry, split = entrance_index(mu)
+                table[node] = {v: Monomial(m.coeff, Fraction(m.exp, D)) for v, m in row.items()}
+    # entry and split from the dense mu: a row whose one nonzero is 1.0 is
+    # the indicator of that class
+    indicator = ((mu != 0.0).sum(axis=1) == 1) & (mu.max(axis=1) == 1.0)
+    entry, split = np.where(indicator, mu.argmax(axis=1), -1), np.flatnonzero(~indicator)
     return LimitModel(
         chain=chain, levels=levels, classes=classes, mu=mu, A=A, M=M,
         N=math.prod(levels[1].period.values()) if len(levels) > 1 else 1,
         entry=entry, split=split,
-        alphas=[frac(a) for a in alphas] + [frac(alpha)],
+        alphas=[lev.alpha for lev in levels[1:]] + [alpha if alpha == math.inf else Fraction(alpha, D)],
     )
 
 
+#: k * u, the bound on the relative error of each coefficient of float
+#: `analyze`, u = 2^-53.  Every step adds, multiplies or divides nonnegative
+#: floats and rounds once, so a value is its exact value times c factors
+#: (1 + d)^(+-1), |d| <= u, and within c * u / (1 - c * u) of it (Higham
+#: 2002, Lemma 3.1).  Its count c is the longest chain of roundings into it,
+#: a product's chains joined: a sum of positive terms counts the largest of
+#: its terms plus one, a product or quotient its operands' sum plus one, and
+#: a sum with 0.0 or a product or quotient by 1.0 none.  On the plain corpus
+#: of `test_analyze_matches_the_exact_ladder` the largest c is 8,890
+#: (`test_the_rounding_counts_stay_within_the_bound`).  So k = 9,000.
+EXACT_RTOL = Fraction(9000, 2**53)
+
+
+def near_exact(x, exact, rtol) -> bool:
+    """Whether the float x lies within rtol of the exact value, relatively;
+    where that is 0, x must be 0 too."""
+    return x == 0.0 if exact == 0 else math.isfinite(x) and abs(Fraction(x) - exact) <= rtol * abs(exact)
+
+
+def limits(model):
+    """Every entry of mu, A and M, in that order."""
+    return itertools.chain(model.mu.flat, model.A.flat, model.M.flat)
+
+
+def coefficients(model):
+    """Every coefficient of the levels' measures and aggregated rows, then mu, A and M."""
+    for lev in model.levels[1:]:
+        for table in (lev.measures, lev.aggregated):
+            for row in table.values():
+                yield from (m.coeff for m in row.values())
+    yield from limits(model)
+
+
+def _level_shape(lev) -> tuple:
+    """What a level holds apart from its coefficients."""
+    rows = [(node, [(u, m.exp) for u, m in row.items()])
+            for table in (lev.measures, lev.aggregated) for node, row in table.items()]
+    return lev.alpha, lev.nodes, lev.recurrent_nodes, lev.transient_nodes, lev.period, rows
+
+
+def check_against_exact(chain, coeff_rtol=None):
+    """Where `analyze` succeeds on the chain, check it against the exact run
+    `reference_analyze(chain, Fraction(1))`: the same thresholds, classes,
+    N and levels but for coefficients, every exact one a `Fraction`; with
+    `coeff_rtol`, every coefficient of the measures, the aggregated rows,
+    mu, A and M within that relative distance of the exact one (0 where it
+    is 0).  Returns (model, exact), or None where `analyze` raised."""
+    try:
+        model = hierarchy.analyze(chain)
+    except InternalError:
+        return None
+    exact = reference_analyze(chain, Fraction(1))
+    assert (model.alphas, model.classes, model.N) == (exact.alphas, exact.classes, exact.N)
+    assert list(map(_level_shape, model.levels)) == list(map(_level_shape, exact.levels))
+    want = list(coefficients(exact))
+    assert all(type(x) is Fraction for x in want)
+    if coeff_rtol is not None:
+        rtol = Fraction(coeff_rtol)
+        assert all(near_exact(x, y, rtol) for x, y in zip(coefficients(model), want, strict=True))
+    return model, exact
+
+
 # ------------------------------------------------------ frozen game front end
-# kept as a slow reference for `games.compile_game`: the strategy loader,
-# validation and compiler with monomial products and sums on Fraction
-# exponents, each strategy validated again at compile time.
-
-
-def _frozen_load_strategy(spec, actions, who):
-    if not isinstance(spec, dict) or set(spec) != set(actions):
-        raise ChainFormatError(f"{who} must map every state")
-    out = {}
-    for s, mix in spec.items():
-        if not isinstance(mix, dict) or not mix:
-            raise ChainFormatError(f"{who}[{s!r}] must be a nonempty map action -> monomial")
-        row = {}
-        for a, doc in mix.items():
-            if not isinstance(doc, dict) or set(doc) != {"coeff", "exp"}:
-                raise ChainFormatError(
-                    f"{who}[{s!r}][{a!r}] must be an object with 'coeff' and 'exp'"
-                )
-            coeff = read_number(doc["coeff"], "%s[%r][%r]: 'coeff'", who, s, a)
-            try:
-                row[a] = monomial(coeff, parse_exponent(doc["exp"]))
-            except ValueError as exc:
-                raise ChainFormatError(f"{who}[{s!r}][{a!r}]: {exc}") from None
-        out[s] = row
-    _frozen_validate_strategy(out, actions, who)
-    return out
-
-
-def _frozen_validate_strategy(strategy, actions, who="strategy"):
-    for s, row in strategy.items():
-        for a, m in row.items():
-            if a not in actions[s]:
-                raise ChainFormatError(f"{who}[{s!r}] uses unknown action {a!r}")
-            if m.is_zero() or m.coeff <= 0 or m.exp < 0:
-                raise ChainFormatError(
-                    f"{who}[{s!r}][{a!r}] must have positive weight and exponent >= 0"
-                )
-        if not is_exactly_leaving(row):
-            raise ChainFormatError(
-                f"{who}[{s!r}]: exponent-0 weights sum to {exp0_mass(row)!r}, not 1"
-            )
+# kept as a slow reference for `games.compile_game`: the compiler with
+# monomial products and sums on Fraction exponents, each strategy validated
+# again at compile time by the frozen loader's strategy rules.
 
 
 def _frozen_compile(game, x, y):
-    _frozen_validate_strategy(x, game.actions1, "strategy1")
-    _frozen_validate_strategy(y, game.actions2, "strategy2")
+    _frozen_strategy_rules(x, game.actions1, "strategy1")
+    _frozen_strategy_rules(y, game.actions2, "strategy2")
     entries = {}
     gvec = np.zeros(len(game.states))
     i1 = {s: {a: k for k, a in enumerate(game.actions1[s])} for s in game.states}
@@ -976,14 +946,9 @@ def _frozen_compile(game, x, y):
 
 
 def frozen_compile_game(doc: dict):
-    """The chain and limit payoff vector of a game document, with the
-    strategies loaded and the game compiled by the frozen Fraction-exponent
-    front end (the game itself is read by `load_game`)."""
-    game, _, _ = load_game(doc)
-    x = _frozen_load_strategy(doc["strategy1"], game.actions1, "strategy1")
-    y = _frozen_load_strategy(doc["strategy2"], game.actions2, "strategy2")
-    return _frozen_compile(game, x, y)
-
+    """The chain and limit payoff vector of a game document, read by the
+    frozen loader and compiled by the frozen Fraction-exponent front end."""
+    return _frozen_compile(*_frozen_load_game(doc))
 
 
 # -------------------------------------------------------- frozen game loader

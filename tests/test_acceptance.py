@@ -3,7 +3,6 @@ budget.  Run with `pytest tests/test_acceptance.py -v` to get one pass/fail
 line per criterion."""
 
 import itertools
-import math
 import time
 from fractions import Fraction
 

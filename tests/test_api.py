@@ -126,15 +126,24 @@ def _unused_imports(tree: ast.Module) -> list:
     return [(name, line) for name, line in imported.items() if name not in read | exported]
 
 
+def _unused_in(paths, exempt=frozenset()) -> list:
+    """`path:line name` for every unused import of the modules at `paths`,
+    but for the (module, name) pairs in `exempt`."""
+    return [f"{path.name}:{line} {name}" for path in sorted(paths)
+            for name, line in _unused_imports(ast.parse(path.read_text()))
+            if (path.stem, name) not in exempt]
+
+
 def test_every_name_the_package_imports_is_used():
     # the project runs no linter, so this is its dead-import check.  The only
     # exemptions are the names the benchmark's span tracer rebinds to count
     # calls (MONO_OPS in bench/spans.py): no code reads them
     rebound = set(bench_module("spans").MONO_OPS)
     package = Path(markovscale.__file__).resolve().parent
-    unused = []
-    for path in sorted(package.glob("*.py")):
-        for name, line in _unused_imports(ast.parse(path.read_text())):
-            if (path.stem, name) not in rebound:
-                unused.append(f"{path.name}:{line} {name}")
-    assert unused == []
+    assert _unused_in(package.glob("*.py"), rebound) == []
+
+
+def test_every_name_a_test_module_imports_is_used():
+    # the same check on the test modules and their helpers, so that a
+    # deleted reference cannot leave its imports behind
+    assert _unused_in(Path(__file__).resolve().parent.glob("*.py")) == []

@@ -214,6 +214,25 @@ def test_one_horizon_rule_words_every_refusal_of_t(twostate):
     assert position(twostate, t=0.0).shape == (2, 2)
 
 
+def test_a_horizon_or_fraction_that_is_not_a_number_is_an_input_error(twostate):
+    # read_number's rule: a string, a list or a bool is not a number, and an
+    # int too large for a float is refused by name
+    chain = load_chain(fixture("twostate_unit.json"))
+    takers = (lambda t: position(twostate, t=t), lambda t: occupation(twostate, t=t),
+              lambda t: critical_closed_form(chain, t), lambda t: read_horizon(t, positive=True))
+    for t in ("1", [1.0], True, False):
+        for f in takers:
+            with pytest.raises(InputError, match=r"^t must be a number$"):
+                f(t)
+    with pytest.raises(InputError, match=r"^t is too large for a float$"):
+        position(twostate, t=10**400)
+    for fraction in ("0.5", [0.5], True):
+        with pytest.raises(InputError, match=r"^fraction must be a number$"):
+            position(twostate, fraction=fraction)
+    assert read_horizon(np.float64(1.5)) == 1.5 and type(read_horizon(2)) is float
+    assert np.array_equal(position(twostate, t=np.int64(1)), position(twostate, t=1.0))
+
+
 def test_two_state_position_matches_the_scalar_solution(twostate):
     # symmetric unit-rate flip: P_t(1,1) = (1 + e^(-2t)) / 2
     for t in (0.0, 0.3, 1.0, 4.0):

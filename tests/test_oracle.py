@@ -319,18 +319,40 @@ def _pair_chain_and_model():
 
 def test_a_tiny_lambda_is_past_the_cap_not_a_singular_solve_or_a_blind_check():
     # below 2^-53, 1 - lam == 1.0 and Id - (1-lam) Q is singular; far below
-    # it, 1e-9 + 8 eps / lam is far above 1 and the row check checks nothing
+    # it, 1e-9 + 8 eps / lam is far above 1 and the row check checks nothing.
+    # The public wrappers refuse a substochastic Q as input, so the
+    # resolvent's own checks are driven directly
     half = 0.5 * np.eye(2)  # substochastic: its rows sum to 1/2, not 1
     for lam in (1e-17, 1e-300, 5e-324):
         with pytest.raises(ResourceError, match="power cap"):
-            discounted_sum(half, lam, total=True)
+            oracle._resolvent(half, lam)
         with pytest.raises(ResourceError, match="power cap"):
             discounted_sum(np.eye(2), lam, t=1.0)
     with pytest.raises(InternalError, match="rows deviate"):
-        discounted_sum(half, 0.5, total=True)
+        oracle._resolvent(half, 0.5)
     chain, model = _pair_chain_and_model()
     with pytest.raises(ResourceError, match="power cap"):
         convergence_sweep(chain, model, 1.0, [1e-17])
+
+
+def test_the_oracle_wrappers_refuse_a_q_that_is_not_square_and_stochastic():
+    # a wrong shape once met numpy's bare LinAlgError or a broadcast
+    # ValueError, and a row sum of 2 an InternalError that blamed the program
+    calls = (lambda Q: matrix_power_position(Q, 1.0, 0.5, 1),
+             lambda Q: discounted_sum(Q, 0.5, total=True), lambda Q: discounted_sum(Q, 0.5, t=1.0))
+    refused = ((np.ones((2, 3)), r"Q must be a square matrix, got shape \(2, 3\)"),
+               (np.ones(3), r"Q must be a square matrix, got shape \(3,\)"),
+               ([[1.0], [0.5, 0.5]], "Q must be a square matrix of numbers"),
+               (np.array([[2.0]]), r"Q row 0 sums to 2.0, not 1 \(tolerance 1e-09\)"),
+               (0.5 * np.eye(2), "Q row 0 sums to 0.5, not 1"),
+               ([[1.0, 0.0], [1.5, -0.5]], "Q row 1 holds the negative entry -0.5"),
+               ([[1.0, 0.0], [math.nan, 1.0]], "Q row 1 sums to nan, not 1"))
+    for call in calls:
+        for Q, message in refused:
+            with pytest.raises(InputError, match=f"^{message}"):
+                call(Q)
+        # a stochastic Q passes, as a list too
+        assert np.array_equal(call([[0.25, 0.75], [1.0, 0.0]]), call(np.array([[0.25, 0.75], [1.0, 0.0]])))
 
 
 def test_every_cap_refusal_comes_before_any_matrix_work(monkeypatch):

@@ -7,8 +7,8 @@ coefficients, exponent ties, products and quotients that underflow to a
 0.0 coefficient at a finite exponent, and int as well as `Fraction`
 exponents.  A 0.0 coefficient is a plain float: it keeps its exponent and
 its place in a sum, and no step drops it.  The references are the `mono_*`
-copies in `helpers`; the exact ladder there judges what float `analyze`
-makes of chains whose terms underflow.
+copies in `helpers`; `reference_analyze` there, run on exact coefficients,
+judges what float `analyze` makes of chains whose terms underflow.
 """
 
 import json
@@ -23,8 +23,8 @@ from markovscale.asymptotics import ZERO, mono_add, mono_mul
 from markovscale.hierarchy import HierarchyLevel, build_level, next_threshold
 from markovscale.structure import ClassDecomposition
 
-from helpers import (_frozen_entrance_law, _frozen_eliminate, _frozen_invariant_measure, bench_jobs,
-                     check_against_exact_ladder, check_incremental_ladder)
+from helpers import (_frozen_entrance_law, _frozen_eliminate, _frozen_invariant_measure, base_level,
+                     bench_jobs, check_against_exact, check_incremental_ladder)
 
 F = Fraction
 
@@ -248,21 +248,15 @@ def test_build_level_aggregates_like_its_mono_chains_bit_for_bit(chain):
     _check_ladder(chain, hierarchy._base_level(chain), chain.scale.D)
     # each level classifies like the full support, underflowed terms included
     check_incremental_ladder(chain)
-    nodes = [(s,) for s in chain.states]
-    agg = {n: {} for n in nodes}
-    for (src, dst), m in chain.entries.items():
-        agg[(src,)][(dst,)] = m
-    base = HierarchyLevel(index=0, alpha=None, nodes=nodes, recurrent_nodes=list(nodes),
-                          transient_nodes=[], period={}, measures={}, aggregated=agg, parent={})
-    _check_ladder(chain, base, 1)
+    _check_ladder(chain, base_level(chain), 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(chains())
 def test_analyze_matches_the_exact_ladder_where_terms_underflow(chain):
     # where float analyze succeeds, its thresholds, classes, transients and
-    # measure exponents are those of the ladder on exact coefficients
-    check_against_exact_ladder(chain)
+    # every exponent of its levels are those of the exact run
+    check_against_exact(chain)
 
 
 # ------------------------------------------------- Monomial traffic bound
