@@ -180,26 +180,48 @@ class TickScale:
 class PublicTable(Mapping):
     """Read-only view of a table on ticks (key -> {target -> (coeff, tick)})
     that hands out each row as `Monomial`s with the `Fraction` exponents of
-    `scale`, converting a row when it is first read."""
+    `scale`, converting a row when it is first read.
 
-    def __init__(self, rows: dict, scale: TickScale):
+    Given `keys` and `targets`, maps from the table's keys and row targets
+    to the names it publishes (lists indexed by the ladder's int node ids),
+    the view is keyed by those names and its rows target them; a name is
+    looked up through a name -> id dict built on the first keyed read, so
+    an id is not a key of the view."""
+
+    def __init__(self, rows: dict, scale: TickScale, keys=None, targets=None):
         self._rows = rows
         self._fraction = scale.fraction
         self._public: dict = {}
+        self._keys = keys
+        self._targets = targets
+        self._ids: dict | None = None
+
+    def _name_ids(self) -> dict:
+        """The name -> id dict of a view keyed by names, built on first use."""
+        if self._ids is None:
+            keys = self._keys
+            self._ids = {keys[u]: u for u in self._rows}
+        return self._ids
 
     def __getitem__(self, key) -> dict:
         row = self._public.get(key)
         if row is None:
-            fraction = self._fraction
-            row = self._public[key] = {v: Monomial(c, fraction(e))
-                                       for v, (c, e) in self._rows[key].items()}
+            fraction, targets = self._fraction, self._targets
+            tick_row = self._rows[key if self._keys is None else self._name_ids()[key]]
+            if targets is None:
+                row = {v: Monomial(c, fraction(e)) for v, (c, e) in tick_row.items()}
+            else:
+                row = {targets[v]: Monomial(c, fraction(e)) for v, (c, e) in tick_row.items()}
+            self._public[key] = row
         return row
 
     def __contains__(self, key) -> bool:
-        return key in self._rows
+        return key in (self._rows if self._keys is None else self._name_ids())
 
     def __iter__(self):
-        return iter(self._rows)
+        if self._keys is None:
+            return iter(self._rows)
+        return map(self._keys.__getitem__, self._rows)
 
     def __len__(self) -> int:
         return len(self._rows)

@@ -18,10 +18,12 @@ for the extended (stepwise) position, read off the level-1 class periods.
 Every exponent the ladder produces is a Z-combination of the chain's entry
 exponents, so `analyze` runs it on the chain's ticks: ints counting units
 of 1/D on the scale the chain was built with.  Inside, the ladder carries
-terms as plain (coeff, exp) pairs; the levels `analyze` returns hand out
-`Monomial`s with `Fraction` exponents, converting a row through that scale
-when it is first read.  `next_threshold` and `build_level` read `Monomial`s
-and pairs alike, on either kind of exponent.
+terms as plain (coeff, exp) pairs and nodes as int ids, the index of a
+node's least state; the levels `analyze` returns are keyed by tuples of
+state names and hand out `Monomial`s with `Fraction` exponents, converting
+a row through that scale and those names when it is first read.
+`next_threshold` and `build_level` read `Monomial`s and pairs alike, on
+either kind of exponent.
 """
 
 from __future__ import annotations
@@ -32,15 +34,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import INF, ONE, ZERO, Exponent, Monomial, PublicTable, format_exponent, parse_exponent
+from .asymptotics import (INF, ONE, ZERO, Exponent, Monomial, PublicTable, TickScale, format_exponent,
+                          parse_exponent)
 # the rules that build_level's inlined aggregation follows; the benchmark's
 # span tracer (bench/spans.py) counts calls made through these names
 from .asymptotics import mono_add, mono_mul  # noqa: F401
 from .chain_model import PerturbedChain
 from .errors import InputError, InternalError
-from .structure import ClassDecomposition, classify, entrance_law, invariant_measure, scaled_law_terms
+from .structure import (ClassDecomposition, classify, entrance_law, invariant_measure, named_message,
+                        scaled_law_terms)
 
-#: aggregated nodes are tuples of original states, ordered by state index
+#: a published node: the tuple of its states' names, in state order.  Inside
+#: the ladder a node is an int id, the index of its least state
 Node = tuple
 
 
@@ -54,10 +59,15 @@ class HierarchyLevel:
     `measures` and `aggregated` are read-only: levels share the rows a
     level leaves unchanged.
 
-    The private fields hold what the next `build_level` reads of the level
-    on the ladder's ticks.  A level without them (built elsewhere, or
-    published by `analyze`) computes its leading orders on first use and
-    counts every node as changed.
+    The levels `analyze` returns are keyed by `Node`s, tuples of state
+    names.  Inside the ladder, the levels that `build_level` reads and
+    returns are keyed by int ids: a node's id is the index of its least
+    state, so a state that has not merged is its own id, and a class of two
+    or more nodes takes its first member's id.  Their private fields hold
+    what the next `build_level` reads, on the ladder's ticks.  A level
+    without `_lead` and `_fresh` computes its leading orders on first use
+    and counts every node as changed; one without `_members` has merged no
+    states.
     """
 
     index: int
@@ -75,6 +85,9 @@ class HierarchyLevel:
     #: the nodes the next level counts as changed whatever their minimum
     #: exit: the classes of two or more nodes this level created
     _fresh: list | None = field(default=None, compare=False, repr=False)
+    #: id -> the sorted indices of its states, for the ids of this level
+    #: and the levels before that merged two or more states
+    _members: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -103,14 +116,15 @@ class LimitModel:
 
 
 def _base_level(chain: PerturbedChain) -> HierarchyLevel:
-    """Level 0, every state a node: the chain's `tick_rows` keyed by node."""
-    nodes = [(s,) for s in chain.states]
-    node_of = dict(zip(chain.states, nodes))
+    """Level 0, every state a node: the chain's `tick_rows` keyed by state
+    index."""
+    index = chain.index
+    nodes = list(range(chain.n_states))
     agg = {}
     lead = {}
     for s, row in chain.tick_rows.items():
-        u = node_of[s]
-        agg[u] = row = {node_of[d]: m for d, m in row.items()}
+        u = index[s]
+        agg[u] = row = {index[d]: m for d, m in row.items()}
         lead[u] = _leading_order(row)
     return HierarchyLevel(
         index=0,
@@ -123,6 +137,7 @@ def _base_level(chain: PerturbedChain) -> HierarchyLevel:
         aggregated=agg,
         parent={},
         _lead=lead,
+        _members={},
     )
 
 
@@ -157,7 +172,14 @@ def _level_support(rows, lead: dict, roots, alpha: Exponent, leaving) -> dict:
     arcs at that exponent, in row order, and every other row is absorbing.
     A row keeps its self-loop unless its leading order is 0 and its node is
     in `leaving`, the nodes of the exactly-leaving states (a merged node has
-    none: its members' leading arcs stay in its class)."""
+    none: its members' leading arcs stay in its class).
+
+    On the ladder's ids, `leaving` holds the ids of the exactly-leaving
+    states, and a merged node has the id of its least state, which may be
+    one of them.  That cannot misfire: the leading arcs of a class's
+    members stay in the class, so the merged row's leading order exceeds
+    the alpha >= 0 at which it formed, a rebuilt row keeps its leading
+    order, and the test reads `leaving` at leading order 0 only."""
     support = {}
     todo = list(roots)
     while todo:
@@ -176,15 +198,24 @@ def _level_support(rows, lead: dict, roots, alpha: Exponent, leaving) -> dict:
     return support
 
 
-def _merge_nodes(members, state_order: dict) -> Node:
-    merged = []
-    for node in members:
-        merged.extend(node)
-    return tuple(sorted(merged, key=state_order.__getitem__))
+def _namer(members: dict, states):
+    """id -> the published `Node` of a level's node, from its `_members`."""
+    def name(u) -> Node:
+        ms = members.get(u)
+        return (states[u],) if ms is None else tuple([states[i] for i in ms])
+
+    return name
 
 
 def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain) -> HierarchyLevel:
     """Aggregate the previous level at threshold alpha.
+
+    Reads and returns the ladder's levels, keyed by int node ids: a class
+    of two or more nodes takes its first member's id, which holds its least
+    state, and lists its states in `_members`.  Nodes stay in ascending id
+    order, which is state order, without a sort: the previous nodes are in
+    it, and a class of two or more nodes takes the place of its first
+    member.
 
     Only the nodes that a changed node reaches in the support are
     classified.  A node is changed if the previous level created it (a class
@@ -205,17 +236,17 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     hands its members' arcs at exponent <= alpha to `invariant_measure`,
     whose kernel keeps those between members in its one working copy.  A
     node that stays itself (a one-node class or a transient) keeps the
-    previous level's row object, and its leading order, when none of its
-    targets merged.  Every other row is built anew by one fold, with its
-    leading order the least exponent folded in: a class of two or more
-    nodes folds its members' rows weighted by its measure, and a node that
-    stays itself folds its own row weighted by ONE.  So a level at which no
-    class of two or more nodes forms keeps the previous node order and
-    every row object.  Rows are never mutated once built, so levels may
-    share them."""
+    previous level's row object, and its leading order, when no target of
+    it changed id (a class's first member keeps its id).  Every other row is
+    built anew by one fold, with its leading order the least exponent folded
+    in: a class of two or more nodes folds its members' rows weighted by its
+    measure, and a node that stays itself folds its own row weighted by ONE.
+    So a level at which no class of two or more nodes forms keeps the
+    previous node order and every row object.  Rows are never mutated once
+    built, so levels may share them."""
     Q = previous.aggregated
     lead = _leads(previous)
-    state_order = chain.index
+    index = chain.index
 
     if previous._fresh is None:
         changed = previous.nodes
@@ -223,7 +254,7 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         low = previous.alpha
         changed = [u for u, e in lead.items() if low < e <= alpha]
         changed.extend(previous._fresh)
-    leaving = {(s,) for s in chain.leaving}
+    leaving = {index[s] for s in chain.leaving}
     reached = _level_support(Q, lead, changed, alpha, leaving)
     decomp = classify({u: reached[u] for u in previous.nodes if u in reached})
     # the unreached nodes keep their status; merged in node order, which is
@@ -232,18 +263,15 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     transient = set(decomp.transient)
     transient.update(t for t in previous.transient_nodes if t not in reached)
 
-    parent: dict[Node, Node] = {}
-    new_nodes: list[Node] = []
-    recurrent_nodes: list[Node] = []
-    transient_nodes: list[Node] = []
-    period: dict[Node, int] = {}
-    measures: dict[Node, dict[Node, Monomial]] = {}
-    merged: dict[Node, tuple] = {}  # node -> class, for the classes of 2+ nodes
-    moved: set[Node] = set()  # the previous nodes in those classes
+    parent: dict[int, int] = {}
+    new_nodes: list[int] = []
+    recurrent_nodes: list[int] = []
+    transient_nodes: list[int] = []
+    period: dict[int, int] = {}
+    measures: dict[int, dict[int, Monomial]] = {}
+    members: dict[int, list[int]] = dict(previous._members or ())
+    moved: set[int] = set()  # the later members of the classes of 2+ nodes: their ids go
 
-    # nodes stay in state order: the previous nodes are in it, each a sorted
-    # run of states, and a class of two or more nodes takes the place of its
-    # first member, which holds its least state
     for u in previous.nodes:
         if u in transient:
             new_nodes.append(u)
@@ -253,27 +281,31 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         if cls is None:
             if u in moved:
                 continue  # a later member of a class already taken
-            node = parent[u] = u  # a one-node class
+            parent[u] = u  # a one-node class
             measures[u] = {u: ONE}
             period[u] = 1
         else:
-            node = _merge_nodes(cls, state_order)
+            ids: list[int] = []  # the class's states
             for member in cls:
-                parent[member] = node
-            merged[node] = cls
-            moved.update(cls)
-            period[node] = decomp.period[cls]
+                parent[member] = u
+                ids.extend(members.pop(member, None) or (member,))
+            ids.sort()
+            members[u] = ids
+            moved.update(cls[1:])
+            period[u] = decomp.period[cls]
             # the kernel reads the arcs between members at exponent <= alpha
             # only; its one pass over these rows keeps the members' arcs
             rows = {z: {v: m for v, m in Q[z].items() if m[1] <= alpha} for z in cls}
             try:
-                measures[node] = invariant_measure(rows, cls)
+                measures[u] = invariant_measure(rows, cls)
             except InternalError as exc:
+                states = chain.states
                 raise InternalError(
-                    f"level {previous.index + 1}, class {_node_name(node)}: {exc}"
+                    f"level {previous.index + 1}, class {_node_name(tuple([states[i] for i in ids]))}: "
+                    f"{named_message(exc, _namer(previous._members or {}, states))}"
                 ) from exc
-        new_nodes.append(node)
-        recurrent_nodes.append(node)
+        new_nodes.append(u)
+        recurrent_nodes.append(u)
 
     for t in transient_nodes:  # after the class members, as classify lists them
         parent[t] = t
@@ -284,16 +316,20 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
     # leaves every bit (1.0 * c == c, 0 + e == e); rows hold no self-arcs,
     # so only a class's arcs between members are dropped.  The steps of
     # mono_add and mono_mul are written out inline on (coeff, exp) pairs
-    agg: dict[Node, dict[Node, tuple]] = {}
-    new_lead: dict[Node, Exponent] = {}
+    agg: dict[int, dict[int, tuple]] = {}
+    new_lead: dict[int, Exponent] = {}
     for u in new_nodes:
-        if u not in merged and moved.isdisjoint(Q[u]):
-            agg[u] = Q[u]  # no target merged: the row and its leading order stay
+        if u in first:
+            weights = measures[u].items()
+        elif moved.isdisjoint(Q[u]):
+            agg[u] = Q[u]  # no target changed id: the row and its leading order stay
             new_lead[u] = lead[u]
             continue
+        else:
+            weights = ((u, ONE),)
         acc = {}
         emin = INF  # the least exponent folded in is the row's leading order
-        for z, (pc, pe) in (measures[u] if u in merged else {u: ONE}).items():
+        for z, (pc, pe) in weights:
             for v, (c, e) in Q[z].items():
                 tgt = parent[v]
                 if tgt != u:
@@ -320,8 +356,39 @@ def build_level(previous: HierarchyLevel, alpha: Exponent, chain: PerturbedChain
         aggregated=agg,
         parent=parent,
         _lead=new_lead,
-        _fresh=list(merged),
+        _fresh=list(first),
+        _members=members,
     )
+
+
+def _publish(levels: list[HierarchyLevel], states, scale: TickScale) -> None:
+    """Turn the ladder's levels, keyed by ids, into the levels `analyze`
+    returns, in place: one pass per level keys `nodes`, `period` and
+    `parent` by `Node`s, and `measures` and `aggregated` become
+    `PublicTable` views that name their rows' keys and targets and convert
+    their exponents through `scale` when a row is read.  A level names each
+    id through a list indexed by id, the previous level's list with the
+    classes it created renamed."""
+    frac = scale.fraction
+    prev = names = [(s,) for s in states]
+    for level in levels:
+        if level._fresh:
+            names = prev.copy()
+            members = level._members
+            for u in level._fresh:
+                names[u] = tuple([states[i] for i in members[u]])
+        name = names.__getitem__
+        level.nodes = list(map(name, level.nodes))
+        level.recurrent_nodes = list(map(name, level.recurrent_nodes))
+        level.transient_nodes = list(map(name, level.transient_nodes))
+        level.period = {names[u]: p for u, p in level.period.items()}
+        level.parent = {prev[u]: names[v] for u, v in level.parent.items()}
+        level.measures = PublicTable(level.measures, scale, names, prev)
+        level.aggregated = PublicTable(level.aggregated, scale, names, names)
+        if level.alpha is not None:
+            level.alpha = frac(level.alpha)
+        level._lead = level._fresh = level._members = None
+        prev = names
 
 
 def analyze(chain: PerturbedChain) -> LimitModel:
@@ -334,6 +401,7 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     scale = chain.scale
     D = scale.D
     frac = scale.fraction
+    n = chain.n_states
 
     def fmt(t) -> str:
         return format_exponent(frac(t))
@@ -341,14 +409,14 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     # M[i, s] is the limit of the product of the measures of the classes that
     # state s sits in on its way up to class i, level 1 first; one-node
     # classes have measure ONE and leave the product alone
-    weight_coeff = dict.fromkeys(chain.states, 1.0)
-    weight_exp = dict.fromkeys(chain.states, 0)
+    weight_coeff = [1.0] * n
+    weight_exp = [0] * n
 
     base = _base_level(chain)
     levels = [base]
     current = base
     alphas: list[int] = []
-    guard = 2 * chain.n_states  # covers 2n - 2 levels and the step that ends the ladder
+    guard = 2 * n  # covers 2n - 2 levels and the step that ends the ladder
     terminal = None
     for _ in range(guard):
         alpha = next_threshold(current)
@@ -361,11 +429,12 @@ def analyze(chain: PerturbedChain) -> LimitModel:
                 f"({fmt(alphas[-1])} then {fmt(alpha)})"
             )
         alphas.append(alpha)
+        below = current._members
         current = build_level(current, alpha, chain)
         levels.append(current)
         for node in current._fresh:  # the classes of two or more nodes
             for child, (c, e) in current.measures[node].items():
-                for s in child:
+                for s in below.get(child) or (child,):
                     weight_coeff[s] *= c
                     weight_exp[s] += e
     if terminal is None:
@@ -375,9 +444,10 @@ def analyze(chain: PerturbedChain) -> LimitModel:
         )
 
     final = current
-    classes = list(final.recurrent_nodes)
+    classes = final.recurrent_nodes
     nclasses = len(classes)
-    n = chain.n_states
+    members = final._members
+    name = _namer(members, chain.states)
 
     decomp = ClassDecomposition(
         recurrent=[(node,) for node in classes],
@@ -387,24 +457,24 @@ def analyze(chain: PerturbedChain) -> LimitModel:
     try:
         law = entrance_law(final.aggregated, decomp)
     except InternalError as exc:
-        raise InternalError(f"level {final.index}, entrance law: {exc}") from exc
+        raise InternalError(f"level {final.index}, entrance law: {named_message(exc, name)}") from exc
 
     # law rows are sparse {class index: weight}; the states of an indicator
     # row {i: 1.0} get entry i and their 1.0 in one assignment at the end,
     # every other row is written into mu as it is
-    index = chain.index
     mu = np.zeros((n, nclasses))
     entry = [-1] * n
     for node in final.nodes:
         row = law[node]
+        states = members.get(node) or (node,)
         if len(row) == 1 and 1.0 in row.values():
             (i,) = row
-            for s in node:
-                entry[index[s]] = i
+            for s in states:
+                entry[s] = i
         else:
             cols, weights = list(row), list(row.values())
-            for s in node:
-                mu[index[s], cols] = weights
+            for s in states:
+                mu[s, cols] = weights
     entry = np.array(entry, dtype=np.intp)
     split = np.flatnonzero(entry < 0)
     held = np.flatnonzero(entry >= 0)
@@ -415,8 +485,8 @@ def analyze(chain: PerturbedChain) -> LimitModel:
         for v, (c, e) in final.aggregated[node].items():
             if e < D:
                 raise InternalError(
-                    f"level {final.index}: recurrent node {_node_name(node)} keeps the "
-                    f"sub-unit exit exponent {fmt(e)} to {_node_name(v)} at termination"
+                    f"level {final.index}: recurrent node {_node_name(name(node))} keeps the "
+                    f"sub-unit exit exponent {fmt(e)} to {_node_name(name(v))} at termination"
                 )
             if e == D:
                 for j, x in scaled_law_terms(c, law[v], nclasses):
@@ -426,21 +496,15 @@ def analyze(chain: PerturbedChain) -> LimitModel:
 
     M = np.zeros((nclasses, n))
     for i, node in enumerate(classes):
-        for s in node:
+        for s in members.get(node) or (node,):
             if weight_exp[s] == 0:
-                M[i, chain.index[s]] = weight_coeff[s]
+                M[i, s] = weight_coeff[s]
 
-    for level in levels:
-        level._lead = level._fresh = None  # on ticks; a published level has none
-        if level.alpha is not None:
-            level.alpha = frac(level.alpha)
-        level.measures = PublicTable(level.measures, scale)
-        level.aggregated = PublicTable(level.aggregated, scale)
-
+    _publish(levels, chain.states, scale)
     return LimitModel(
         chain=chain,
         levels=levels,
-        classes=classes,
+        classes=final.recurrent_nodes,
         mu=mu,
         A=A,
         M=M,

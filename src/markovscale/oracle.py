@@ -51,8 +51,11 @@ def instantiate(chain: PerturbedChain, lam: float) -> np.ndarray:
 
 
 def _read_stochastic(Q) -> np.ndarray:
-    """Q as a float array, once it is a square matrix whose rows hold
-    nonnegative numbers that sum to 1 within _ROW_SUM_TOL."""
+    """Q as a float array with each row divided by its sum, once it is a
+    square matrix whose rows hold nonnegative numbers that sum to 1 within
+    _ROW_SUM_TOL.  The result checks allow only rounding on top of rows that
+    sum to 1, so a row off 1 by up to _ROW_SUM_TOL is scaled back to 1
+    here; a row whose sum is 1.0 keeps every bit."""
     try:
         Q = np.asarray(Q, dtype=float)
     except (TypeError, ValueError):
@@ -67,7 +70,7 @@ def _read_stochastic(Q) -> np.ndarray:
         if negative[i]:
             raise InputError(f"Q row {i} holds the negative entry {float(Q[i].min())!r}")
         raise InputError(f"Q row {i} sums to {float(sums[i])!r}, not 1 (tolerance {_ROW_SUM_TOL:g})")
-    return Q
+    return Q / sums[:, None]
 
 
 def _check_rows(Q: np.ndarray, what: str, steps: int = 0, mass: float = 1.0) -> None:

@@ -24,6 +24,25 @@ from .asymptotics import mono_add, mono_div, mono_mul  # noqa: F401
 from .errors import InternalError
 
 
+def _node_error(template: str, *nodes) -> InternalError:
+    """InternalError(template.format(*nodes)), `template` holding one `{!r}`
+    per node.  It keeps the template and the nodes, so that a caller that
+    runs these functions on node ids can restate it by name
+    (`named_message`)."""
+    exc = InternalError(template.format(*nodes))
+    exc.template, exc.nodes = template, nodes
+    return exc
+
+
+def named_message(exc: InternalError, name) -> str:
+    """The message of `exc` with name(node) in place of every node it
+    names, where `_node_error` made it; str(exc) otherwise."""
+    nodes = getattr(exc, "nodes", None)
+    if nodes is None:
+        return str(exc)
+    return exc.template.format(*map(name, nodes))
+
+
 @dataclass
 class ClassDecomposition:
     """Recurrence classes (closed SCCs) and transient nodes of a support graph.
@@ -188,7 +207,7 @@ def _eliminate(rows: dict, order, members=None) -> list[tuple]:
         pred = inn.pop(k, {})
         sc, se = pair_sum(succ.values())  # s_k
         if sc == 0.0:
-            raise InternalError(f"node {k!r} has no exit left when it is eliminated")
+            raise _node_error("node {!r} has no exit left when it is eliminated", k)
         for j in succ:
             del inn[j][k]
         for i, (ci, ei) in pred.items():
@@ -309,14 +328,14 @@ def entrance_law(matrix: dict, decomposition: ClassDecomposition) -> dict:
             out = {v: m for v, m in out.items() if v != k}
         sc, se = pair_sum(out.values())  # s_k, as _eliminate forms it
         if sc == 0.0:
-            raise InternalError(f"node {k!r} has no exit left when it is eliminated")
+            raise _node_error("node {!r} has no exit left when it is eliminated", k)
         steps.append((k, out, None, (sc, se)))
     for k, out, _, (sc, se) in reversed(steps):
         h: dict = {}
         for j, (c, e) in out.items():
             row = law.get(j)
             if row is None:
-                raise InternalError(f"arc {k!r} -> {j!r} leaves the decomposition")
+                raise _node_error("arc {!r} -> {!r} leaves the decomposition", k, j)
             # mono_limit(mono_div(w_kj, s_k)): s_k is the pair_sum of these
             # arcs, so e >= se on every arc and no quotient diverges
             lim = c / sc if e == se else 0.0

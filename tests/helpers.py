@@ -22,6 +22,7 @@ from markovscale import (
     structure,
 )
 from markovscale.asymptotics import (
+    TickScale,
     mono_add,
     mono_div,
     mono_eval,
@@ -291,8 +292,9 @@ def check_incremental_ladder(chain) -> int:
     and check every level built against `classify` over the full support of
     the level before, taken from leading orders recomputed from its rows:
     the same classes in the same order, the same periods and the same
-    transients.  Returns the number of levels built."""
-    leaving = {(s,) for s in chain.leaving}
+    transients, all on the ladder's int node ids.  Returns the number of
+    levels built."""
+    leaving = {chain.index[s] for s in chain.leaving}
     level = hierarchy._base_level(chain)
     for built in range(2 * chain.n_states + 2):
         alpha = next_threshold(level)
@@ -488,17 +490,30 @@ def base_level(chain, term=lambda m: m) -> HierarchyLevel:
                           transient_nodes=[], period={}, measures={}, aggregated=agg, parent={})
 
 
+def fraction_base_level(chain) -> HierarchyLevel:
+    """The ladder's level 0, keyed by state index, with its ticks turned
+    into the chain's `Fraction` exponents."""
+    level = hierarchy._base_level(chain)
+    frac = chain.scale.fraction
+    level.aggregated = {u: {v: Monomial(c, frac(e)) for v, (c, e) in row.items()}
+                        for u, row in level.aggregated.items()}
+    level._lead = None
+    return level
+
+
 def reference_ladder(chain) -> tuple[list, list]:
     """The aggregation ladder built step by step from
     hierarchy.next_threshold and hierarchy.build_level on the chain's Fraction
-    exponents.
+    exponents, from `fraction_base_level`, and published as `analyze`
+    publishes its levels.
     Returns (levels, alphas), alphas ending with the terminal threshold."""
-    level = base_level(chain)
+    level = fraction_base_level(chain)
     levels, alphas = [level], []
     while True:
         alpha = next_threshold(level)
         alphas.append(alpha)
         if alpha >= 1:
+            hierarchy._publish(levels, chain.states, TickScale((1,)))
             return levels, alphas
         level = build_level(level, alpha, chain)
         levels.append(level)

@@ -20,6 +20,7 @@ from markovscale import (
     report,
 )
 from markovscale import hierarchy
+from markovscale.asymptotics import TickScale
 from markovscale.evaluator import expm
 from markovscale.games import compile_game, load_game
 from markovscale.hierarchy import _level_support, build_level, next_threshold
@@ -36,6 +37,7 @@ from helpers import (
     check_incremental_ladder,
     coefficients,
     fixture,
+    fraction_base_level,
     limits,
     near_exact,
     random_chain,
@@ -107,13 +109,20 @@ def test_next_threshold_of_a_frozen_chain_is_infinite():
 
 
 def test_build_level_reproduces_the_analyze_stack():
+    # build_level on the ladder's level 0 with Fraction exponents, published
+    # as analyze publishes its levels
     chain = load_chain(fixture("eightstate.json"))
     model = analyze(chain)
-    lv1 = build_level(model.levels[0], F(0), chain)
+    base = fraction_base_level(chain)
+    lv1 = build_level(base, F(0), chain)
+    hierarchy._publish([base, lv1], chain.states, TickScale((1,)))
+    assert base.aggregated == model.levels[0].aggregated
     assert lv1.nodes == model.levels[1].nodes
     assert lv1.recurrent_nodes == model.levels[1].recurrent_nodes
     assert lv1.transient_nodes == model.levels[1].transient_nodes
     assert lv1.parent == model.levels[1].parent
+    assert lv1.period == model.levels[1].period
+    assert lv1.measures == model.levels[1].measures
     assert lv1.aggregated == model.levels[1].aggregated
 
 
@@ -387,7 +396,8 @@ def test_classify_sees_only_the_nodes_a_changed_node_reaches(monkeypatch):
     # the changed-node rule, restated from the published levels: a node the
     # previous level created, and a node whose minimum exit lies in
     # (previous alpha, alpha]; classify receives what they reach, in node
-    # order
+    # order.  The ladder runs on int node ids, a node's id being the index
+    # of its least state, the first of its published tuple
     chain = _chain_of(bench_jobs("ladder", 11, tiny=True)[0])
     seen = []
     real = hierarchy.classify
@@ -398,7 +408,7 @@ def test_classify_sees_only_the_nodes_a_changed_node_reaches(monkeypatch):
 
     monkeypatch.setattr(hierarchy, "classify", spy)
     model = analyze(chain)
-    assert all(lev._lead is None and lev._fresh is None for lev in model.levels)
+    assert all(lev._lead is None and lev._fresh is None and lev._members is None for lev in model.levels)
     leaving = {(s,) for s in chain.leaving}
     lead = hierarchy._leading_order
     want = []
@@ -417,7 +427,7 @@ def test_classify_sees_only_the_nodes_a_changed_node_reaches(monkeypatch):
             if u not in reached:
                 reached.add(u)
                 todo.extend(support[u])
-        want.append([u for u in prev.nodes if u in reached])
+        want.append([chain.index[u[0]] for u in prev.nodes if u in reached])
     assert seen == want
     # 96 states: 64 in 4-cycles and 32 feeders, over five levels
     assert [len(nodes) for nodes in seen] == [96, 48, 16, 8, 4]
@@ -434,9 +444,12 @@ def test_a_level_that_merges_nothing_keeps_the_previous_rows_and_order():
     for chain in chains:
         levels = analyze(chain).levels
         for prev, lev in zip(levels, levels[1:]):
-            if all(len(lev.measures._rows[u]) == 1 for u in lev.recurrent_nodes):
+            if all(len(lev.measures[u]) == 1 for u in lev.recurrent_nodes):
                 assert lev.nodes == prev.nodes
-                assert all(lev.aggregated._rows[u] is prev.aggregated._rows[u] for u in lev.nodes)
+                # the tables' rows on the ladder's node ids
+                rows, before = lev.aggregated._rows, prev.aggregated._rows
+                assert list(rows) == list(before)
+                assert all(rows[u] is before[u] for u in rows)
                 copied += 1
     # the ladder's level 2 is one of the levels that merge nothing
     assert copied >= 9
@@ -515,6 +528,62 @@ def test_the_ladder_runs_on_int_exponents(monkeypatch):
     analyze(load_chain(fixture("eightstate_primes.json")))
     assert len(seen_types) >= 3
     assert all(types == {int} for types in seen_types)
+
+
+def test_the_ladder_runs_on_int_node_ids_and_publishes_name_tuples(monkeypatch):
+    # inside, a node is the int index of its least state; the levels analyze
+    # returns are keyed by tuples of state names, and an id is not a key
+    real = hierarchy.build_level
+    seen_types = []
+
+    def spy(previous, alpha, chain):
+        level = real(previous, alpha, chain)
+        nodes = [*previous.nodes, *level.nodes, *level.parent, *level.parent.values(), *level.period]
+        for table in (level.measures, level.aggregated):
+            for u, row in table.items():
+                nodes += [u, *row]
+        seen_types.append({type(u) for u in nodes})
+        return level
+
+    def named(node) -> bool:
+        return type(node) is tuple and len(node) >= 1 and all(isinstance(s, str) for s in node)
+
+    monkeypatch.setattr(hierarchy, "build_level", spy)
+    for chain in (load_chain(fixture("eightstate.json")), _chain_of(bench_jobs("ladder", 11, tiny=True)[0])):
+        seen_types.clear()
+        model = analyze(chain)
+        assert len(seen_types) == len(model.levels) - 1 >= 4
+        assert all(types == {int} for types in seen_types)
+        assert all(named(node) for node in model.classes)
+        for lev in model.levels:
+            nodes = [*lev.nodes, *lev.recurrent_nodes, *lev.transient_nodes, *lev.period,
+                     *lev.parent, *lev.parent.values()]
+            for table in (lev.measures, lev.aggregated):
+                for u, row in table.items():
+                    nodes += [u, *row]
+            assert all(named(node) for node in nodes)
+            for table in (lev.measures, lev.aggregated):
+                assert 0 not in table and table.get(0) is None
+                with pytest.raises(KeyError):
+                    table[0]
+
+
+def test_an_error_names_its_nodes_as_the_name_keyed_reference_does():
+    # the ladder runs on ids, and the kernel formats the nodes it names with
+    # repr; analyze restates such a message with the nodes' published
+    # tuples, so it ends with the message of the frozen, name-keyed ladder
+    plain, tiny = _tiny_twins(np.random.default_rng(2026), 600)
+    raised = named = 0
+    for chain in plain + tiny:
+        try:
+            analyze(chain)
+        except InternalError as exc:
+            with pytest.raises(InternalError) as ref:
+                reference_analyze(chain, 1.0)
+            assert str(exc).endswith(str(ref.value))
+            raised += 1
+            named += "node ('" in str(exc)
+    assert raised >= 142 and named >= 74
 
 
 def test_a_non_increasing_threshold_names_its_level_in_fractions(monkeypatch):

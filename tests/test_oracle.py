@@ -355,6 +355,24 @@ def test_the_oracle_wrappers_refuse_a_q_that_is_not_square_and_stochastic():
         assert np.array_equal(call([[0.25, 0.75], [1.0, 0.0]]), call(np.array([[0.25, 0.75], [1.0, 0.0]])))
 
 
+def test_a_q_within_the_row_tolerance_passes_the_result_checks():
+    # a row off 1 by 5e-10 passes the input check; the result checks allow
+    # 1e-9 + 8 eps per step, which its unscaled powers exceed from the
+    # third step on (1 + 5e-10)^3 - 1 = 1.5e-9.  The oracle scales each row
+    # to sum 1, so the result is that of the identity
+    Q = [[1 + 5e-10, 0.0], [0.0, 1.0]]
+    eye = np.eye(2)
+    # t / lam = 0.8, 2 and about 10^6: 1, 3 and 10^6 steps with n_avg = 1
+    for t, lam in ((0.4, 0.5), (1.0, 0.5), (1.0, 1e-6)):
+        assert np.array_equal(matrix_power_position(Q, t, lam, 1), eye)
+        assert np.array_equal(discounted_sum(Q, lam, t=t), discounted_sum(eye, lam, t=t))
+    assert np.array_equal(discounted_sum(Q, 0.5, total=True), discounted_sum(eye, 0.5, total=True))
+    # rows that sum to 1.0 keep every bit
+    P = np.array([[0.1, 0.2, 0.7], [0.5, 0.25, 0.25], [0.0, 0.0, 1.0]])
+    assert (P.sum(axis=1) == 1.0).all()
+    assert np.array_equal(oracle._read_stochastic(P), P)
+
+
 def test_every_cap_refusal_comes_before_any_matrix_work(monkeypatch):
     chain, model = _pair_chain_and_model()
     real_instantiate = oracle.instantiate

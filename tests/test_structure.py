@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from markovscale import InternalError, load_chain, monomial
 from markovscale.asymptotics import mono_eval
 from markovscale.oracle import instantiate
-from markovscale.structure import ClassDecomposition, _sccs, classify, entrance_law, invariant_measure
+from markovscale.structure import ClassDecomposition, _sccs, classify, entrance_law, invariant_measure, named_message
 
 from helpers import (
     EXPONENT_POOL,
@@ -353,3 +353,19 @@ def test_trap_without_any_exit_is_a_contract_violation():
     dec = ClassDecomposition(recurrent=[("r",)], transient=["t1", "t2"], period={("r",): 1})
     with pytest.raises(InternalError):
         entrance_law(mat, dec)
+
+
+def test_an_error_that_names_nodes_can_be_restated_by_name():
+    # the kernel formats a node with repr; a caller on node ids restates the
+    # message with each node's name, as the ladder does
+    dec = ClassDecomposition(recurrent=[(0,)], transient=[1], period={})
+    with pytest.raises(InternalError) as err:
+        entrance_law({0: {}, 1: {2: M(1.0, 0)}}, dec)
+    assert str(err.value) == "arc 1 -> 2 leaves the decomposition"
+    name = {0: ("a",), 1: ("b",), 2: ("c", "d")}.__getitem__
+    assert named_message(err.value, name) == "arc ('b',) -> ('c', 'd') leaves the decomposition"
+    with pytest.raises(InternalError) as err:
+        invariant_measure({0: {1: (1.0, 0)}, 1: {0: (0.0, 0)}}, (0, 1))
+    assert named_message(err.value, name) == "node ('b',) has no exit left when it is eliminated"
+    # a message that names no node is kept as it is
+    assert named_message(InternalError("empty class"), name) == "empty class"
